@@ -57,7 +57,6 @@ from .errors import (
     OutOfRange,
     ParseError,
     SameVertex,
-    TooLarge,
     ValidationError,
     VertexOutOfRange,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "DuplicatePairCoverage",
     "SameVertex",
     "ModeTooLarge",
-    "TooLarge",
     "BudgetExceeded",
     "EvenModulus",
     "ModulusTooSmall",

@@ -9,17 +9,13 @@ report); 2 usage, format or I/O error; 3 the file parses but the system is
 invalid (range or linearity violation).
 
 Reports are JSON on stdout and byte-identical across runs for identical
-inputs; wall time goes to stderr so it never perturbs the report.  The
-LTS_THREADS environment variable is accepted for compatibility with
-parallel builds of the checkers; this implementation is single-threaded
-and ignores it beyond validation.
+inputs; wall time goes to stderr so it never perturbs the report.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Any
@@ -380,9 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    threads = os.environ.get("LTS_THREADS")
-    if threads is not None and not threads.isdigit():
-        print(f"warning: ignoring non-numeric LTS_THREADS={threads!r}", file=sys.stderr)
     started = time.perf_counter()
     try:
         try:

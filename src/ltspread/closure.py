@@ -5,8 +5,12 @@ covered pair {x, y} lies inside the set and its triple's third vertex z is
 outside, z is added.  The spreading-type properties below all ask whether
 such propagation from small seeds reaches the whole vertex set.
 
-Witness determinism: every verifier scans its candidate space in
-size-ascending, then lexicographic order, and reports the first failure.
+The verifiers share one bit-sliced kernel (after Biham, FSE 1997): blocks
+of up to _BLOCK seeds become uint64 matrices M, one row per vertex and one
+bit per seed, swept with M[z] |= M[x] & M[y] over all covered pairs until
+nothing changes; blocks bound memory, so no verifier caps n.  Witnesses:
+seeds go in size-ascending, then lexicographic order, and the first failure
+is the lowest failing bit of the first block that has one.
 """
 
 from __future__ import annotations
@@ -15,19 +19,13 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice
-from typing import Iterable, Literal
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, Literal
 
 import numpy as np
 
 from .core import Pair, Triple, TripleSystem
-from .errors import (
-    BudgetExceeded,
-    ModeTooLarge,
-    OutOfRange,
-    TooLarge,
-    VertexOutOfRange,
-)
+from .errors import BudgetExceeded, ModeTooLarge, OutOfRange, VertexOutOfRange
 
 __all__ = [
     "PropertyVerdict",
@@ -121,35 +119,109 @@ def closure(system: TripleSystem, subset: Iterable[int]) -> frozenset[int]:
     return frozenset(_close(system.pair_table, s))
 
 
+# Seeds per kernel block: 2^14 seeds are 256 words (2 KiB) per vertex row.
+_BLOCK = 1 << 14
+
+
+def _pair_arrays(system: TripleSystem) -> tuple[np.ndarray, ...]:
+    """Pairs x, y sorted by third point, then group starts and third points."""
+    t = np.array(system.triples, dtype=np.intp).reshape(-1, 3)
+    x, y, z = (t[:, ends].ravel() for ends in ([0, 0, 1], [1, 2, 2], [2, 1, 0]))
+    order = np.argsort(z, kind="stable")
+    starts = np.flatnonzero(np.diff(z[order], prepend=-1))
+    return x[order], y[order], starts, z[order][starts]
+
+
+def _combinations(n: int, k: int) -> Iterator[np.ndarray]:
+    """combinations(range(n), k) as blocks of up to _BLOCK rows, unranked by
+    the combinatorial number system: the subset of lexicographic rank r is
+    {n - 1 - c_j}, where C(n, k) - 1 - r = sum_j C(c_j, k - j) greedily."""
+    table = [np.array([math.comb(c, k - j) for c in range(n)]) for j in range(k)]
+    total = math.comb(n, k)
+    for start in range(0, total, _BLOCK):
+        left = total - 1 - np.arange(start, min(start + _BLOCK, total))
+        c = np.empty((len(left), k), dtype=np.intp)
+        for j, t in enumerate(table):
+            c[:, j] = np.searchsorted(t, left, side="right") - 1
+            left -= t[c[:, j]]
+        yield n - 1 - c
+
+
+def _is_triple(system: TripleSystem, rows: np.ndarray) -> np.ndarray:
+    """Which sorted 3-subset rows are triples of the system."""
+    code = np.array([system.n**2, system.n, 1])
+    return np.isin(rows @ code, np.reshape(system.triples, (-1, 3)) @ code)
+
+
+def _pack(n: int, rows: np.ndarray) -> np.ndarray:
+    """Seed rows as the (n, words) uint64 M: bit i of row v says v in seed i."""
+    bits = np.zeros((n, -(-len(rows) // 64) * 64), dtype=bool)
+    bits[rows.T, np.arange(len(rows))] = True
+    return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+
+
+def _unpack(words: np.ndarray, count: int) -> np.ndarray:
+    """The first count per-seed bits of packed words, as 0/1 uint8."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=count, bitorder="little")
+
+
+def _neighbourhoods(m: np.ndarray, pairs: tuple[np.ndarray, ...]) -> np.ndarray:
+    """One sweep: N[z] = OR of M[x] & M[y] over the pairs of z, minus M[z]."""
+    x, y, starts, zs = pairs
+    return np.bitwise_or.reduceat(m[x] & m[y], starts) & ~m[zs]
+
+
+def _close_batch(n: int, rows: np.ndarray, pairs: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Packed closures of seed rows: sweep until no closure grows."""
+    m = _pack(n, rows)
+    while (grow := _neighbourhoods(m, pairs)).any():
+        m[pairs[3]] |= grow
+    return m
+
+
+def _scan(system: TripleSystem, blocks: Iterable, witness: Callable) -> PropertyVerdict:
+    """Close blocks of seed rows in order and stop at the first seed whose
+    closure misses a vertex, reported as witness(row as a list)."""
+    pairs, done = _pair_arrays(system), 0
+    for rows in blocks:
+        spans = np.bitwise_and.reduce(_close_batch(system.n, rows, pairs), axis=0)
+        failing = np.flatnonzero(_unpack(~spans, len(rows)))
+        if failing.size:
+            i = int(failing[0])
+            return PropertyVerdict(False, witness(rows[i].tolist()), done + i + 1)
+        done += len(rows)
+    return PropertyVerdict(True, None, done)
+
+
 def is_spreading(
     system: TripleSystem, mode: Literal["reduced", "brute_force"] = "reduced"
 ) -> PropertyVerdict:
     """Check that every nontrivial seed closes to the whole vertex set.
 
     Nontrivial means size at least 3 and not itself a triple of the system.
-    Reduced mode only scans non-triple 3-subsets, which is equivalent to the
-    full definition: closure is monotone, and by linearity at most one
-    3-subset of any 4 vertices is a triple, so every failing set of size
-    >= 4 contains a failing non-triple 3-subset.  Brute-force mode scans all
-    non-triple subsets of size >= 3 and requires n <= 20.
+    Reduced mode batch-closes only non-triple 3-subsets, which is equivalent
+    to the full definition: closure is monotone, and by linearity at most
+    one 3-subset of any 4 vertices is a triple, so every failing set of size
+    >= 4 contains a failing non-triple 3-subset.  Brute-force mode closes
+    all non-triple subsets of size >= 3 one by one and requires n <= 20.
     """
     if mode not in ("reduced", "brute_force"):
         raise ValueError(f"unknown mode {mode!r}")
     n = system.n
     if n < 3:
         raise OutOfRange(f"spreading needs at least 3 vertices, got n={n}")
-    if mode == "brute_force" and n > 20:
+    if mode == "reduced":
+        blocks = (rows[~_is_triple(system, rows)] for rows in _combinations(n, 3))
+        return _scan(system, blocks, frozenset)
+    if n > 20:
         raise ModeTooLarge(f"brute_force scans all subsets; n={n} exceeds 20")
-    table = system.pair_table
-    full_size = n
     checked = 0
-    sizes = (3,) if mode == "reduced" else range(3, n + 1)
-    for k in sizes:
+    for k in range(3, n + 1):
         for cand in combinations(range(n), k):
             if k == 3 and system.has_triple(cand):
                 continue
             checked += 1
-            if len(_close(table, cand)) != full_size:
+            if len(_close(system.pair_table, cand)) != n:
                 return PropertyVerdict(False, frozenset(cand), checked)
     return PropertyVerdict(True, None, checked)
 
@@ -158,16 +230,12 @@ def is_weakly_spreading(system: TripleSystem) -> PropertyVerdict:
     """Check that every pair of distinct triples closes to everything.
 
     This two-triple form is equivalent to requiring it of every subfamily
-    with more than one triple, since closure is monotone.
+    with more than one triple, since closure is monotone.  Seeds t1 + t2 go
+    to the batch kernel in combinations(triples, 2) order.
     """
-    table = system.pair_table
-    full_size = system.n
-    checked = 0
-    for t1, t2 in combinations(system.triples, 2):
-        checked += 1
-        if len(_close(table, t1 + t2)) != full_size:
-            return PropertyVerdict(False, (t1, t2), checked)
-    return PropertyVerdict(True, None, checked)
+    triples = np.array(system.triples, dtype=np.intp).reshape(-1, 3)
+    blocks = (triples[ij].reshape(-1, 6) for ij in _combinations(len(triples), 2))
+    return _scan(system, blocks, lambda seed: (tuple(seed[:3]), tuple(seed[3:])))
 
 
 def is_strongly_connected(system: TripleSystem) -> PropertyVerdict:
@@ -177,29 +245,20 @@ def is_strongly_connected(system: TripleSystem) -> PropertyVerdict:
     A side U with no such triple is exactly a closed set (every covered
     pair inside U has its third point inside), so the check reduces to: no
     proper closed subset of size >= 4 exists.  Any such subset contains a
-    4-subset whose closure is again proper and closed, hence scanning
-    closures of all 4-subsets is complete, and the minimal failing side is
-    the smallest such closure (size-ascending, then lexicographic).
+    4-subset whose closure is again proper and closed, so the batch kernel
+    closes all 4-subsets.  The witness is the smallest such closure, the
+    lex-least of its size: that of the first 4-subset to reach the size, as
+    a closed set's first four vertices are its lex-least 4-subset.
     """
-    n = system.n
-    if n > 26:
-        raise TooLarge(f"strong connectivity check supports n <= 26, got n={n}")
-    table = system.pair_table
-    checked = 0
-    worst: tuple[int, tuple[int, ...]] | None = None
-    for cand in combinations(range(n), 4):
-        checked += 1
-        closed = _close(table, cand)
-        if len(closed) != n:
-            key = (len(closed), tuple(sorted(closed)))
-            if worst is None or key < worst:
-                worst = key
-    if worst is None:
-        return PropertyVerdict(True, None, checked)
-    return PropertyVerdict(False, frozenset(worst[1]), checked)
-
-
-_CHUNK = 1 << 16
+    n, pairs = system.n, _pair_arrays(system)
+    size, side = n, None
+    for rows in _combinations(n, 4):
+        reach = _unpack(_close_batch(n, rows, pairs), len(rows))
+        sizes = reach.sum(axis=0)
+        i = int(np.argmin(sizes))
+        if sizes[i] < size:
+            size, side = int(sizes[i]), frozenset(np.flatnonzero(reach[:, i]).tolist())
+    return PropertyVerdict(side is None, side, math.comb(n, 4))
 
 
 def expander_deficiency(
@@ -212,7 +271,8 @@ def expander_deficiency(
 
     max_size defaults to n // 2, the range of interest for expansion.  The
     planned subset count is checked against budget up front and raises
-    BudgetExceeded stating the largest size that still fits.
+    BudgetExceeded stating the largest size that still fits.  One sweep of
+    the batch kernel gives the neighbourhoods of a block of sets.
     """
     n = system.n
     if max_size is None:
@@ -220,8 +280,6 @@ def expander_deficiency(
     max_size = min(max_size, n)
     if max_size < 1:
         raise OutOfRange(f"max_size must be at least 1, got {max_size}")
-    if n > 63:
-        raise TooLarge(f"bitmask enumeration supports n <= 63, got n={n}")
 
     total = 0
     for k in range(1, max_size + 1):
@@ -232,65 +290,20 @@ def expander_deficiency(
                 f"(budget {budget}); size {k - 1} is the largest that fits"
             )
 
-    # Each covered pair {x, y} with third point z contributes z to N(V')
-    # exactly when both of x, y are inside V' and z is not: as bitmasks,
-    # mask & (pair | bit_z) == pair.
-    pair_specs = []
-    for x, y, z in system.triples:
-        bx, by, bz = 1 << x, 1 << y, 1 << z
-        pair_specs.append((bx | by, bz))
-        pair_specs.append((bx | bz, by))
-        pair_specs.append((by | bz, bx))
-    triple_masks = np.array(
-        sorted((1 << x) | (1 << y) | (1 << z) for x, y, z in system.triples),
-        dtype=np.int64,
-    )
-
+    pairs = _pair_arrays(system)
     per_size: dict[int, int] = {}
-    best: tuple[int, int, tuple[int, ...]] | None = None  # (deficiency, size, set)
-    min_ratio: Fraction | None = None
-
+    attainers: list[tuple[int, int, list[int]]] = []
+    ratios: list[Fraction] = []
     for k in range(1, max_size + 1):
-        size_min: int | None = None
-        combos = combinations(range(n), k)
-        while True:
-            chunk = list(islice(combos, _CHUNK))
-            if not chunk:
-                break
-            arr = np.fromiter(
-                chain.from_iterable(chunk), dtype=np.int64, count=len(chunk) * k
-            ).reshape(-1, k)
-            masks = np.bitwise_or.reduce(np.left_shift(np.int64(1), arr), axis=1)
-            nmask = np.zeros(len(chunk), dtype=np.int64)
-            for pair_mask, z_bit in pair_specs:
-                hit = (masks & (pair_mask | z_bit)) == pair_mask
-                nmask |= np.where(hit, z_bit, 0)
-            counts = np.bitwise_count(nmask).astype(np.int64)
-
-            chunk_min = int(counts.min())
-            if size_min is None or chunk_min < size_min:
-                size_min = chunk_min
-            idx = int(np.argmin(counts - (k - 3)))
-            deficiency = int(counts[idx]) - (k - 3)
-            if best is None or deficiency < best[0]:
-                best = (deficiency, k, chunk[idx])
-
-            if k >= 3:
-                if k == 3 and len(triple_masks):
-                    nontrivial = ~np.isin(masks, triple_masks)
-                    ratio_counts = counts[nontrivial]
-                else:
-                    ratio_counts = counts
-                if ratio_counts.size:
-                    cand = Fraction(int(ratio_counts.min()), k)
-                    if min_ratio is None or cand < min_ratio:
-                        min_ratio = cand
-        per_size[k] = size_min if size_min is not None else 0
-
-    assert best is not None
-    return ExpanderReport(
-        min_deficiency=best[0],
-        per_size_min_neighbourhood=per_size,
-        worst_set=frozenset(best[2]),
-        min_ratio=min_ratio,
-    )
+        for rows in _combinations(n, k):
+            counts = _unpack(_neighbourhoods(_pack(n, rows), pairs), len(rows)).sum(0)
+            idx = int(np.argmin(counts))
+            per_size[k] = min(per_size.get(k, n), int(counts[idx]))
+            attainers.append((int(counts[idx]) - (k - 3), k, rows[idx].tolist()))
+            if k == 3:
+                counts = counts[~_is_triple(system, rows)]
+            if k >= 3 and counts.size:
+                ratios.append(Fraction(int(counts.min()), k))
+    deficiency, _, worst_set = min(attainers)
+    ratio = min(ratios, default=None)
+    return ExpanderReport(deficiency, per_size, frozenset(worst_set), ratio)

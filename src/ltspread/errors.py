@@ -38,10 +38,6 @@ class ModeTooLarge(ValidationError):
     """Brute-force checking was requested beyond its supported order."""
 
 
-class TooLarge(ValidationError):
-    """An exhaustive check was requested beyond its supported order."""
-
-
 class BudgetExceeded(LtsError, RuntimeError):
     """An enumeration hit its configured node or subset budget."""
 

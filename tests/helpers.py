@@ -78,6 +78,16 @@ def weakly_spreading_naive(system: TripleSystem):
     return True, None
 
 
+def first_failure_count(candidates, witness) -> int:
+    """checked_count of a scan over candidates that stops at witness: its
+    1-based position, or the number of candidates when witness is None."""
+    count = 0
+    for count, cand in enumerate(candidates, start=1):
+        if cand == witness:
+            break
+    return count
+
+
 def strongly_connected_naive(system: TripleSystem):
     """Direct partition-based check: every side U with |U| >= 4 of a proper
     partition must be met by some triple in exactly two vertices."""

@@ -257,17 +257,6 @@ def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-def test_lts_threads_warning(monkeypatch, capsys):
-    monkeypatch.setenv("LTS_THREADS", "many")
-    code, _, err = run_cli(capsys, "bounds", "--tau")
-    assert code == 0
-    assert "LTS_THREADS" in err
-    monkeypatch.setenv("LTS_THREADS", "4")
-    code, _, err = run_cli(capsys, "bounds", "--tau")
-    assert code == 0
-    assert "LTS_THREADS" not in err
-
-
 def test_help_exits_0(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0

@@ -1,17 +1,21 @@
 """Closure operator and the property verifiers, cross-checked against the
 naive scan-the-triples implementations in helpers."""
 
+import importlib
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltspread import (
     BudgetExceeded,
     ModeTooLarge,
     OutOfRange,
-    TooLarge,
     VertexOutOfRange,
     bose_skolem,
     build_system,
@@ -30,6 +34,7 @@ from ltspread import (
 from helpers import (
     closure_naive,
     expander_naive,
+    first_failure_count,
     neighbourhood_naive,
     random_linear_system,
     spreading_naive,
@@ -162,8 +167,11 @@ def test_is_strongly_connected_examples():
     assert v.witness == frozenset({0, 1, 2, 3})
     assert is_strongly_connected(bose_skolem(3)).holds
     assert is_strongly_connected(spreading_6p3(3)).holds
-    with pytest.raises(TooLarge):
-        is_strongly_connected(build_system(27))
+    # no order cap: every 4-set of the empty system on 27 points is closed
+    v = is_strongly_connected(build_system(27))
+    assert not v.holds
+    assert v.witness == frozenset({0, 1, 2, 3})
+    assert v.checked_count == 17550
 
 
 def test_is_strongly_connected_matches_partition_oracle():
@@ -215,8 +223,12 @@ def test_expander_guards():
     with pytest.raises(BudgetExceeded) as exc:
         expander_deficiency(bose_skolem(5), max_size=7, budget=100)
     assert "size" in str(exc.value)
-    with pytest.raises(TooLarge):
-        expander_deficiency(build_system(64))
+    # no order cap: n = 64 is accepted within the subset budget
+    rep = expander_deficiency(build_system(64), max_size=2)
+    assert rep.min_deficiency == 1
+    assert rep.worst_set == frozenset({0, 1})
+    assert rep.per_size_min_neighbourhood == {1: 0, 2: 0}
+    assert rep.min_ratio is None
     with pytest.raises(OutOfRange):
         expander_deficiency(bose_skolem(3), max_size=0)
 
@@ -231,3 +243,67 @@ def test_expander_worst_set_prefers_smallest_size_then_lex():
     want = expander_naive(s, max_size=5)
     assert rep.worst_set == want["worst_set"]
     assert rep.min_deficiency == want["min_deficiency"]
+
+
+# The batch kernel closes seeds in blocks of kernel._BLOCK.  Each agreement
+# test runs at the real block size and at 64 seeds per block, where
+# witnesses fall in later blocks and the last block is partial.
+kernel = importlib.import_module("ltspread.closure")
+BLOCK_SIZES = [kernel._BLOCK, 64]
+
+random_systems = st.one_of(
+    st.builds(
+        lambda seed, n, fill: random_linear_system(random.Random(seed), n, fill),
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 11),
+        st.sampled_from([0.5, 1.0, 1.5]),
+    ),
+    st.builds(build_system, st.integers(3, 9)),  # no triples at all
+)
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@settings(max_examples=40, deadline=None)
+@given(random_systems)
+def test_kernel_verifiers_agree_with_naive_oracles(block, s):
+    with patch.object(kernel, "_BLOCK", block):
+        spreading = is_spreading(s)
+        weak = is_weakly_spreading(s)
+        strong = is_strongly_connected(s)
+    holds, witness = spreading_naive(s)
+    tset = set(s.triples)
+    scan = (frozenset(c) for c in combinations(range(s.n), 3) if c not in tset)
+    assert (spreading.holds, spreading.witness) == (holds, witness)
+    assert spreading.checked_count == first_failure_count(scan, witness)
+    holds, witness = weakly_spreading_naive(s)
+    scan = combinations(s.triples, 2)
+    assert (weak.holds, weak.witness) == (holds, witness)
+    assert weak.checked_count == first_failure_count(scan, witness)
+    holds, witness = strongly_connected_naive(s)
+    assert (strong.holds, strong.witness) == (holds, witness)
+    assert strong.checked_count == comb(s.n, 4)
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@settings(max_examples=25, deadline=None)
+@given(random_systems)
+def test_kernel_expander_agrees_with_naive_oracle(block, s):
+    with patch.object(kernel, "_BLOCK", block):
+        rep = expander_deficiency(s)
+    want = expander_naive(s)
+    assert rep.min_deficiency == want["min_deficiency"]
+    assert rep.per_size_min_neighbourhood == want["per_size_min_neighbourhood"]
+    assert rep.worst_set == want["worst_set"]
+    assert rep.min_ratio == want["min_ratio"]
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_kernel_deep_failure(block):
+    # the only failing 3-sets are {14, 16, x} for x in 21, 28, 29, 31
+    sp5 = spreading_6p3(5)
+    cut = build_system(sp5.n, sp5.triples[:120] + sp5.triples[121:])
+    with patch.object(kernel, "_BLOCK", block):
+        v = is_spreading(cut)
+    assert not v.holds
+    assert v.witness == frozenset({14, 16, 21})
+    assert v.checked_count == 4389
