@@ -286,15 +286,14 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if not (args.tau or args.constants or args.density is not None):
         raise ParseError("bounds needs at least one of --tau, --constants, --density")
     if args.tau or args.constants:
-        z, t = bounds_mod.tau()
+        full = bounds_mod.bounds_report()
         if args.tau:
-            report["tau"] = t
-            report["argmax_z"] = z
+            report["tau"] = full.tau
+            report["argmax_z"] = full.argmax_z
         if args.constants:
-            consts = bounds_mod.lower_bound_constants(t)
-            report["edge_bound_coeff"] = consts.edge_bound_coeff
-            report["xi_sp_coeff"] = consts.xi_sp_coeff
-            report["naive_coeff"] = consts.naive_coeff
+            report["edge_bound_coeff"] = full.edge_bound_coeff
+            report["xi_sp_coeff"] = full.xi_sp_coeff
+            report["naive_coeff"] = full.naive_coeff
     if args.density is not None:
         n, m, ratio = bounds_mod.construction_density(args.density)
         report["density"] = {"p": args.density, "n": n, "m": m, "ratio": ratio}

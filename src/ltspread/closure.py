@@ -246,9 +246,11 @@ def is_strongly_connected(system: TripleSystem) -> PropertyVerdict:
     pair inside U has its third point inside), so the check reduces to: no
     proper closed subset of size >= 4 exists.  Any such subset contains a
     4-subset whose closure is again proper and closed, so the batch kernel
-    closes all 4-subsets.  The witness is the smallest such closure, the
-    lex-least of its size: that of the first 4-subset to reach the size, as
-    a closed set's first four vertices are its lex-least 4-subset.
+    closes the 4-subsets, stopping at the first block holding a closed one
+    (no side is smaller); checked_count is always C(n, 4).  The witness is
+    the smallest such closure, the lex-least of its size: that of the first
+    4-subset to reach the size, as a closed set's first four vertices are
+    its lex-least 4-subset.
     """
     n, pairs = system.n, _pair_arrays(system)
     size, side = n, None
@@ -258,6 +260,8 @@ def is_strongly_connected(system: TripleSystem) -> PropertyVerdict:
         i = int(np.argmin(sizes))
         if sizes[i] < size:
             size, side = int(sizes[i]), frozenset(np.flatnonzero(reach[:, i]).tolist())
+        if size == 4:
+            break  # a closed 4-set: no side can be smaller
     return PropertyVerdict(side is None, side, math.comb(n, 4))
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import combinations, count
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .closure import is_weakly_spreading
 from .core import Triple, TripleSystem, build_system
@@ -45,18 +45,18 @@ class SearchResult:
 def _level_candidates(
     n: int, m: int, counter: list[int], budget: int
 ) -> Iterator[tuple[Triple, ...]]:
-    """Yield normalized m-triple candidates spanning [0, n), without
-    duplicates.
+    """Yield the normalized m-triple placements spanning [0, n) in
+    lexicographic order.
 
+    Each step tries every allowed next triple in lexicographic order: any
+    3-subset of the vertices used so far plus the next fresh one, with all
+    three pairs uncovered; a triple containing the fresh vertex introduces
+    it.  Distinct DFS paths are distinct placements, so nothing repeats.
     counter[0] accumulates explored placements across calls; exceeding
-    budget raises BudgetExceeded.  Candidates whose steps all introduce a
-    fresh vertex are unique by construction (each vertex >= 5 pins down the
-    triple that introduced it); only candidates containing an all-old step
-    go through the seen-set.
+    budget raises BudgetExceeded.
     """
     if m < 1:
         return
-    seen: set[tuple[Triple, ...]] = set()
     triples: list[Triple] = []
     covered: set[tuple[int, int]] = set()
 
@@ -70,54 +70,37 @@ def _level_candidates(
         counter[0] += 1
         if counter[0] > budget:
             raise BudgetExceeded(
-                f"node budget {budget} exhausted while scanning {m}-triple systems"
+                f"search used {counter[0]} nodes, over its budget of {budget}, "
+                f"while scanning {m}-triple systems"
             )
 
     def unplace(t: Triple) -> None:
         triples.pop()
         covered.difference_update(pairs_of(t))
 
-    def extend(u: int, old_steps: int) -> Iterator[tuple[Triple, ...]]:
+    def extend(u: int) -> Iterator[tuple[Triple, ...]]:
         k = len(triples)
         if k == m:
             if u == n:
-                cand = tuple(triples)
-                if old_steps:
-                    if cand in seen:
-                        return
-                    seen.add(cand)
-                yield cand
+                yield tuple(triples)
             return
         if k == 0:
-            place((0, 1, 2))
-            yield from extend(3, old_steps)
-            unplace((0, 1, 2))
-            return
-        if k == 1:
+            steps: Iterable[Triple] = [(0, 1, 2)]
+        elif k == 1:
             if u + m < n:  # T2 adds two fresh vertices, later triples one
                 return
-            for t in range(3):
-                cand = (t, 3, 4)
-                place(cand)
-                yield from extend(5, old_steps)
-                unplace(cand)
-            return
-        if u + (m - k) < n:
+            steps = [(t, 3, 4) for t in range(3)]
+        elif u + (m - k) < n:
             return  # not enough steps left to span
-        for cand in combinations(range(u), 3):
+        else:
+            steps = combinations(range(min(u + 1, n)), 3)
+        for cand in steps:
             if all(p not in covered for p in pairs_of(cand)):
                 place(cand)
-                yield from extend(u, old_steps + 1)
+                yield from extend(max(u, cand[2] + 1))
                 unplace(cand)
-        if u < n:
-            for x, y in combinations(range(u), 2):
-                if (x, y) not in covered:
-                    cand = (x, y, u)
-                    place(cand)
-                    yield from extend(u + 1, old_steps)
-                    unplace(cand)
 
-    yield from extend(0, 0)
+    yield from extend(0)
 
 
 def min_weakly_spreading(
@@ -127,10 +110,12 @@ def min_weakly_spreading(
     vertices, for 5 <= n <= 12.
 
     Scans triple counts m = start_at, start_at+1, ... (default start is the
-    proven floor n-3); each level is enumerated completely and the
-    lexicographically least passing system is reported, so the witness is
-    deterministic.  Pass start_at below the floor to have the search refute
-    the smaller counts itself instead of trusting the bound.
+    proven floor n-3).  Each level's candidates come in lexicographic order
+    of their placements, so the first passing one is the lexicographically
+    least and is reported as the witness; levels with no passing candidate
+    are enumerated completely.  Pass start_at below the floor to have the
+    search refute the smaller counts itself instead of trusting the bound.
+    budget caps the placements explored over all levels.
     """
     n = operator.index(n)
     if not 5 <= n <= 12:
@@ -141,22 +126,18 @@ def min_weakly_spreading(
         raise OutOfRange(f"start_at must be at least 1, got {first}")
     counter = [0]
     for m in count(first):
-        best: tuple[Triple, ...] | None = None
         for cand in _level_candidates(n, m, counter, budget):
-            if (best is None or cand < best) and is_weakly_spreading(
-                build_system(n, cand)
-            ):
-                best = cand
-        if best is not None:
-            # counts below ceil(n/3) cannot span n vertices at all, so the
-            # scan was exhaustive iff it started at or below that point
-            return SearchResult(
-                n=n,
-                minimum=m,
-                witness=build_system(n, best),
-                nodes_explored=counter[0],
-                exhaustive_below=first <= -(-n // 3),
-            )
+            system = build_system(n, cand)
+            if is_weakly_spreading(system):
+                # counts below ceil(n/3) cannot span n vertices at all, so
+                # the scan was exhaustive iff it started at or below that
+                return SearchResult(
+                    n=n,
+                    minimum=m,
+                    witness=system,
+                    nodes_explored=counter[0],
+                    exhaustive_below=first <= -(-n // 3),
+                )
 
 
 def ordering_witness(system: TripleSystem) -> tuple[Triple, ...] | None:

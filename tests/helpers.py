@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 from ltspread import TripleSystem, build_system
 
@@ -143,3 +143,44 @@ def is_valid_ordering(sequence) -> bool:
             return False
         covered.update(t)
     return True
+
+
+def min_weakly_spreading_naive(n: int):
+    """Smallest m with a weakly spreading normalized ordering of m triples
+    spanning range(n), and the least such ordering as a placement tuple.
+
+    Plain recursion over all 3-subsets at every step: the first triple is
+    (0, 1, 2), every triple meets each earlier one in at most one vertex,
+    the overlap conditions of is_valid_ordering hold, and the vertices a
+    triple introduces are the smallest unused labels.  Levels are scanned
+    from m = 1, every passing ordering of a level is collected, and the
+    least one is returned, so neither the n - 3 floor nor the emission
+    order is assumed.
+    """
+    all_triples = list(combinations(range(n), 3))
+
+    def orderings(m: int, seq: list, used: set):
+        if len(seq) == m:
+            if used == set(range(n)):
+                yield tuple(seq)
+            return
+        for t in all_triples:
+            if not seq and t != (0, 1, 2):
+                continue
+            if any(len(set(t).intersection(s)) > 1 for s in seq):
+                continue
+            fresh = sorted(set(t) - used)
+            if fresh != list(range(len(used), len(used) + len(fresh))):
+                continue
+            if not is_valid_ordering(seq + [t]):
+                continue
+            yield from orderings(m, seq + [t], used | set(t))
+
+    for m in count(1):
+        passing = [
+            seq
+            for seq in orderings(m, [], set())
+            if weakly_spreading_naive(build_system(n, seq))[0]
+        ]
+        if passing:
+            return m, min(passing)

@@ -1,6 +1,7 @@
 """File format and command-line behaviour."""
 
 import json
+from unittest.mock import patch
 
 import pytest
 
@@ -14,6 +15,7 @@ from ltspread import (
     spreading_6p3,
     star_expansion,
 )
+from ltspread import bounds as bounds_mod
 from ltspread.cli import parse_system, run, serialize_system
 
 
@@ -243,6 +245,13 @@ def test_bounds_subcommand(capsys):
     assert report["density"]["n"] == 21
     code, _, _ = run_cli(capsys, "bounds")
     assert code == 2
+
+
+def test_bounds_density_alone_skips_tau(capsys):
+    with patch.object(bounds_mod, "tau", side_effect=AssertionError):
+        code, out, _ = run_cli(capsys, "bounds", "--density", "3")
+    assert code == 0
+    assert set(json.loads(out)) == {"command", "density"}
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):

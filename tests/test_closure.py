@@ -307,3 +307,17 @@ def test_kernel_deep_failure(block):
     assert not v.holds
     assert v.witness == frozenset({14, 16, 21})
     assert v.checked_count == 4389
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_strong_connectivity_stops_at_closed_4set(block):
+    # {0,1,2,3} is closed in cayley_latin(7): no side can be smaller, so the
+    # scan stops after the first block yet reports the full seed count
+    with patch.object(kernel, "_BLOCK", block), patch.object(
+        kernel, "_close_batch", wraps=kernel._close_batch
+    ) as close_batch:
+        v = is_strongly_connected(cayley_latin(7))
+    assert not v.holds
+    assert v.witness == frozenset({0, 1, 2, 3})
+    assert v.checked_count == comb(21, 4) == 5985
+    assert close_batch.call_count == 1

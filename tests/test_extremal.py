@@ -19,7 +19,7 @@ from ltspread import (
 )
 from ltspread.extremal import _level_candidates
 
-from helpers import is_valid_ordering
+from helpers import is_valid_ordering, min_weakly_spreading_naive
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -41,6 +41,50 @@ def test_witnesses_are_lexicographically_least():
         (0, 5, 6),
         (1, 3, 5),
     )
+    assert min_weakly_spreading(8).witness.triples == (
+        (0, 1, 2),
+        (0, 3, 4),
+        (0, 5, 6),
+        (1, 3, 5),
+        (1, 4, 7),
+    )
+    assert min_weakly_spreading(9).witness.triples == (
+        (0, 1, 2),
+        (0, 3, 4),
+        (0, 5, 6),
+        (1, 3, 5),
+        (1, 4, 7),
+        (2, 3, 8),
+    )
+    assert min_weakly_spreading(10).witness.triples == (
+        (0, 1, 2),
+        (0, 3, 4),
+        (0, 5, 6),
+        (1, 3, 5),
+        (1, 4, 7),
+        (2, 3, 8),
+        (2, 4, 9),
+    )
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_search_agrees_with_naive_oracle(n):
+    minimum, placement = min_weakly_spreading_naive(n)
+    result = min_weakly_spreading(n)
+    assert result.minimum == minimum
+    assert result.witness == build_system(n, placement)
+    # the first passing candidate the generation emits is the oracle's
+    first = next(
+        cand
+        for cand in _level_candidates(n, minimum, [0], 10**9)
+        if is_weakly_spreading(build_system(n, cand))
+    )
+    assert first == placement
+
+
+def test_search_stops_at_first_passing_candidate():
+    # a full scan of the n = 10 level places 253,504 triples
+    assert min_weakly_spreading(10).nodes_explored < 1000
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -79,8 +123,11 @@ def test_argument_validation():
         min_weakly_spreading(13)
     with pytest.raises(OutOfRange):
         min_weakly_spreading(6, start_at=0)
-    with pytest.raises(BudgetExceeded):
-        min_weakly_spreading(8, budget=10)
+    with pytest.raises(BudgetExceeded) as exc:
+        min_weakly_spreading(8, budget=5)  # the witness is the 6th placement
+    assert str(exc.value) == (
+        "search used 6 nodes, over its budget of 5, while scanning 5-triple systems"
+    )
 
 
 def test_minimum_verified_by_unconstrained_search_n5():
@@ -115,9 +162,13 @@ def test_degenerate_disjoint_pair_on_six_vertices():
 
 
 def test_generation_emits_no_duplicates():
-    for n, m in [(5, 2), (5, 3), (6, 3), (6, 4), (7, 4)]:
+    sizes = {(8, 5): 648, (9, 6): 8424}
+    for n, m in [(5, 2), (5, 3), (6, 3), (6, 4), (7, 4), (7, 5), *sizes]:
         cands = list(_level_candidates(n, m, [0], 10**9))
         assert len(cands) == len(set(cands))
+        assert cands == sorted(cands)
+        if (n, m) in sizes:
+            assert len(cands) == sizes[n, m]
         for cand in cands:
             assert cand[0] == (0, 1, 2)
             assert is_valid_ordering(cand)
