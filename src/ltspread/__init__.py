@@ -44,19 +44,9 @@ from .errors import (
     BudgetExceeded,
     DegenerateTriple,
     DuplicatePairCoverage,
-    EmptyOperand,
-    EvenModulus,
-    KeepIndexOutOfRange,
     LtsError,
-    ModeTooLarge,
-    ModulusMismatch,
-    ModulusTooSmall,
-    NotOddPrime,
-    OrderOutOfRange,
-    OrderTooSmall,
     OutOfRange,
     ParseError,
-    SameVertex,
     ValidationError,
     VertexOutOfRange,
 )
@@ -102,17 +92,7 @@ __all__ = [
     "VertexOutOfRange",
     "DegenerateTriple",
     "DuplicatePairCoverage",
-    "SameVertex",
-    "ModeTooLarge",
     "BudgetExceeded",
-    "EvenModulus",
-    "ModulusTooSmall",
-    "NotOddPrime",
-    "KeepIndexOutOfRange",
-    "OrderTooSmall",
-    "OrderOutOfRange",
-    "ModulusMismatch",
-    "EmptyOperand",
     "OutOfRange",
     "ParseError",
 ]

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .constructions import spreading_6p3
-from .errors import EmptyOperand, ModulusMismatch, OutOfRange
+from .errors import OutOfRange
 
 __all__ = [
     "ResidueSet",
@@ -60,9 +60,9 @@ def sumset(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     """{x + y mod m : x in a, y in b}; operands must share m and be
     non-empty."""
     if a.modulus != b.modulus:
-        raise ModulusMismatch(f"moduli differ: {a.modulus} vs {b.modulus}")
+        raise OutOfRange(f"moduli differ: {a.modulus} vs {b.modulus}")
     if not a.members or not b.members:
-        raise EmptyOperand("sumset operands must be non-empty")
+        raise OutOfRange("sumset operands must be non-empty")
     m = a.modulus
     return ResidueSet(m, frozenset((x + y) % m for x in a.members for y in b.members))
 

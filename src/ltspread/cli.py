@@ -5,8 +5,9 @@ Format: a header line "lts 1", a counts line "n m", then m triple lines
 with '#' and blank lines are ignored.
 
 Exit codes: 0 success / property holds; 1 property fails (witness in the
-report); 2 usage, format or I/O error; 3 the file parses but the system is
-invalid (range or linearity violation).
+report); 2 usage or I/O error, ParseError (the file breaks the grammar) or
+any other LtsError such as OutOfRange or BudgetExceeded; 3 the file parses
+but the system is invalid: VertexOutOfRange or DuplicatePairCoverage.
 
 Reports are JSON on stdout and byte-identical across runs for identical
 inputs; wall time goes to stderr so it never perturbs the report.
@@ -18,6 +19,7 @@ import argparse
 import json
 import sys
 import time
+from bisect import bisect_left
 from typing import Any
 
 from . import bounds as bounds_mod
@@ -62,9 +64,10 @@ def serialize_system(system: TripleSystem) -> str:
 def parse_system(text: str) -> TripleSystem:
     """Parse the .lts format.
 
-    Grammar violations raise ParseError with the line number; range and
-    linearity violations raise the validator's own error types, also with
-    line context.
+    Every grammar violation raises ParseError with its line number.  Only
+    then is the system validated by build_system; its VertexOutOfRange and
+    DuplicatePairCoverage are re-raised with the offending lines in the
+    message.
     """
     rows: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -80,7 +83,7 @@ def parse_system(text: str) -> TripleSystem:
         raise ParseError("missing counts line", line=lineno)
     lineno, counts = rows[1]
     parts = counts.split()
-    if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.removeprefix("-").isdecimal() for p in parts):
         raise ParseError(f"counts line must be two integers, got {counts!r}", lineno)
     n, m = int(parts[0]), int(parts[1])
     if n < 0 or m < 0:
@@ -93,10 +96,9 @@ def parse_system(text: str) -> TripleSystem:
         )
     triples: list[tuple[int, int, int]] = []
     previous: tuple[int, int, int] | None = None
-    pair_lines: dict[tuple[int, int], int] = {}
     for lineno, row in body:
         parts = row.split()
-        if len(parts) != 3 or not all(p.lstrip("-").isdigit() for p in parts):
+        if len(parts) != 3 or not all(p.removeprefix("-").isdecimal() for p in parts):
             raise ParseError(f"triple line must be three integers, got {row!r}", lineno)
         t = (int(parts[0]), int(parts[1]), int(parts[2]))
         if not t[0] < t[1] < t[2]:
@@ -104,18 +106,25 @@ def parse_system(text: str) -> TripleSystem:
         if previous is not None and t <= previous:
             raise ParseError(f"triple {t} breaks lexicographic line order", lineno)
         previous = t
-        if t[0] < 0 or t[2] >= n:
-            raise VertexOutOfRange(f"line {lineno}: vertex outside [0, {n}) in {t}")
-        for pair in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
-            if pair in pair_lines:
-                raise DuplicatePairCoverage(
-                    pair,
-                    f"line {lineno}: pair {pair} already covered on line "
-                    f"{pair_lines[pair]}",
-                )
-            pair_lines[pair] = lineno
         triples.append(t)
-    return build_system(n, triples)
+
+    def line_of(t: tuple[int, int, int]) -> int:
+        # triples is sorted, and triples[i] came from body[i]
+        return body[bisect_left(triples, t)][0]
+
+    try:
+        return build_system(n, triples)
+    except VertexOutOfRange as exc:
+        t = exc.triple
+        message = f"line {line_of(t)}: vertex outside [0, {n}) in {t}"
+        raise VertexOutOfRange(message, t) from None
+    except DuplicatePairCoverage as exc:
+        earlier, later = exc.triples
+        message = (
+            f"line {line_of(later)}: pair {exc.pair} already covered on line "
+            f"{line_of(earlier)}"
+        )
+        raise DuplicatePairCoverage(exc.pair, exc.triples, message) from None
 
 
 class _InvalidSystemFile(Exception):
@@ -157,7 +166,7 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     out = []
     for piece in text.split(","):
         piece = piece.strip()
-        if not piece.lstrip("-").isdigit():
+        if not piece.removeprefix("-").isdecimal():
             raise ParseError(f"{what} expects comma-separated integers, got {piece!r}")
         out.append(int(piece))
     return out

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Literal
 import numpy as np
 
 from .core import Pair, Triple, TripleSystem
-from .errors import BudgetExceeded, ModeTooLarge, OutOfRange, VertexOutOfRange
+from .errors import BudgetExceeded, OutOfRange, VertexOutOfRange
 
 __all__ = [
     "PropertyVerdict",
@@ -206,7 +206,7 @@ def is_spreading(
     all non-triple subsets of size >= 3 one by one and requires n <= 20.
     """
     if mode not in ("reduced", "brute_force"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise OutOfRange(f"unknown mode {mode!r}")
     n = system.n
     if n < 3:
         raise OutOfRange(f"spreading needs at least 3 vertices, got n={n}")
@@ -214,7 +214,7 @@ def is_spreading(
         blocks = (rows[~_is_triple(system, rows)] for rows in _combinations(n, 3))
         return _scan(system, blocks, frozenset)
     if n > 20:
-        raise ModeTooLarge(f"brute_force scans all subsets; n={n} exceeds 20")
+        raise OutOfRange(f"brute_force scans all subsets; n={n} exceeds 20")
     checked = 0
     for k in range(3, n + 1):
         for cand in combinations(range(n), k):

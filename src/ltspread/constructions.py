@@ -11,13 +11,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .core import Triple, TripleSystem, build_system
-from .errors import (
-    EvenModulus,
-    KeepIndexOutOfRange,
-    ModulusTooSmall,
-    NotOddPrime,
-    OrderTooSmall,
-)
+from .errors import OutOfRange
 
 __all__ = [
     "bose_skolem",
@@ -45,7 +39,7 @@ def _is_prime(p: int) -> bool:
 def _require_odd_prime(p: int, what: str) -> int:
     p = operator.index(p)
     if p < 3 or p % 2 == 0 or not _is_prime(p):
-        raise NotOddPrime(f"{what} requires an odd prime, got {p}")
+        raise OutOfRange(f"{what} requires an odd prime, got {p}")
     return p
 
 
@@ -59,9 +53,9 @@ def bose_skolem(q: int) -> TripleSystem:
     """
     q = operator.index(q)
     if q % 2 == 0:
-        raise EvenModulus(f"modulus must be odd, got {q}")
+        raise OutOfRange(f"modulus must be odd, got {q}")
     if q < 3:
-        raise ModulusTooSmall(f"modulus must be at least 3, got {q}")
+        raise OutOfRange(f"modulus must be at least 3, got {q}")
     half = (q + 1) // 2
     triples: list[Triple] = [(i, q + i, 2 * q + i) for i in range(q)]
     for i, j in combinations(range(q), 2):
@@ -157,7 +151,7 @@ def crowning(system: TripleSystem, keep: Iterable[int] | None = None) -> TripleS
         chosen = sorted({operator.index(i) for i in keep})
         for i in chosen:
             if i < 0 or i >= len(edges):
-                raise KeepIndexOutOfRange(
+                raise OutOfRange(
                     f"keep index {i} outside [0, {len(edges)}) uncovered edges"
                 )
     triples = list(system.triples)
@@ -208,7 +202,7 @@ def star_expansion(m: int) -> TripleSystem:
     """
     m = operator.index(m)
     if m <= 3:
-        raise OrderTooSmall(f"star expansion needs a base of more than 3, got {m}")
+        raise OutOfRange(f"star expansion needs a base of more than 3, got {m}")
     triples = [
         (i, j, m + r) for r, (i, j) in enumerate(combinations(range(m), 2))
     ]

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 from .errors import (
     DegenerateTriple,
     DuplicatePairCoverage,
-    SameVertex,
+    OutOfRange,
     VertexOutOfRange,
 )
 
@@ -23,13 +23,10 @@ Triple = tuple[int, int, int]
 Pair = tuple[int, int]
 
 
-def _normalize_triple(raw: Iterable[int], n: int) -> Triple:
-    entries = tuple(operator.index(v) for v in raw)
+def _normalize_triple(raw: Iterable[int]) -> Triple:
+    entries = tuple(map(operator.index, raw))
     if len(entries) != 3:
         raise DegenerateTriple(f"expected three vertices, got {entries!r}")
-    for v in entries:
-        if v < 0 or v >= n:
-            raise VertexOutOfRange(f"vertex {v} outside [0, {n}) in triple {entries!r}")
     x, y, z = sorted(entries)
     if x == y or y == z:
         raise DegenerateTriple(f"repeated vertex in triple {entries!r}")
@@ -52,12 +49,19 @@ class TripleSystem:
         if n < 0:
             raise VertexOutOfRange(f"vertex count must be non-negative, got {n}")
         self.n = n
-        normalized = sorted({_normalize_triple(t, n) for t in triples})
+        normalized = sorted({_normalize_triple(t) for t in triples})
+        # One pass in lexicographic order: the first defect found is the
+        # lexicographically first, which the parser maps back to a line.
         table: dict[Pair, int] = {}
-        for x, y, z in normalized:
+        for t in normalized:
+            x, y, z = t
+            if x < 0 or z >= n:
+                v = x if x < 0 else z
+                raise VertexOutOfRange(f"vertex {v} outside [0, {n}) in triple {t}", t)
             for pair, third in (((x, y), z), ((x, z), y), ((y, z), x)):
                 if pair in table:
-                    raise DuplicatePairCoverage(pair)
+                    earlier = tuple(sorted(pair + (table[pair],)))
+                    raise DuplicatePairCoverage(pair, (earlier, t))
                 table[pair] = third
         self.triples = tuple(normalized)
         self.pair_table = table
@@ -71,7 +75,7 @@ class TripleSystem:
             if v < 0 or v >= self.n:
                 raise VertexOutOfRange(f"vertex {v} outside [0, {self.n})")
         if x == y:
-            raise SameVertex(f"pair query needs two distinct vertices, got {x} twice")
+            raise OutOfRange(f"pair query needs two distinct vertices, got {x} twice")
         return self.pair_table.get((x, y) if x < y else (y, x))
 
     def has_triple(self, triple: Iterable[int]) -> bool:
@@ -109,7 +113,11 @@ def build_system(n: int, triples: Iterable[Iterable[int]] = ()) -> TripleSystem:
     """Validate and construct a linear triple system on vertices 0..n-1.
 
     Triples may arrive in any entry order and with duplicates; they are
-    sorted and deduplicated.  Raises VertexOutOfRange, DegenerateTriple or
-    DuplicatePairCoverage (which carries the offending pair) on bad input.
+    sorted and deduplicated, then checked in lexicographic order, so the
+    error names the lexicographically first defect.  Raises DegenerateTriple
+    for a triple without three distinct entries, VertexOutOfRange (``.triple``
+    is the offending triple; None when n itself is negative) and
+    DuplicatePairCoverage (``.pair``, and ``.triples``: the earlier and the
+    later triple covering it).
     """
     return TripleSystem(n, triples)

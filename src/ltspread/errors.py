@@ -2,7 +2,9 @@
 
 Everything inherits from LtsError so callers can catch one base class.
 Validation failures on user-supplied data additionally derive from
-ValueError, resource guards from RuntimeError.
+ValueError, resource guards from RuntimeError.  A class exists only where
+callers tell it apart: the three errors that make a triple system invalid,
+OutOfRange for every other bad argument, BudgetExceeded and ParseError.
 """
 
 
@@ -14,8 +16,19 @@ class ValidationError(LtsError, ValueError):
     """A supplied value violates a documented precondition."""
 
 
+class OutOfRange(ValidationError):
+    """An argument lies outside its documented domain."""
+
+
 class VertexOutOfRange(ValidationError):
-    """A vertex label is negative or not below the declared order n."""
+    """A vertex label is negative or not below the declared order n.
+
+    ``triple`` is the offending triple when a triple caused the error.
+    """
+
+    def __init__(self, message: str, triple: tuple[int, int, int] | None = None):
+        self.triple = triple
+        super().__init__(message)
 
 
 class DegenerateTriple(ValidationError):
@@ -23,59 +36,27 @@ class DegenerateTriple(ValidationError):
 
 
 class DuplicatePairCoverage(ValidationError):
-    """Two triples cover the same unordered pair, breaking linearity."""
+    """Two triples cover the same unordered pair, breaking linearity.
 
-    def __init__(self, pair: tuple[int, int], message: str | None = None):
+    ``pair`` is the pair and ``triples`` the two triples covering it,
+    lexicographically earlier first.
+    """
+
+    def __init__(
+        self,
+        pair: tuple[int, int],
+        triples: tuple[tuple[int, int, int], tuple[int, int, int]],
+        message: str | None = None,
+    ):
         self.pair = pair
-        super().__init__(message or f"pair {pair} is covered by more than one triple")
-
-
-class SameVertex(ValidationError):
-    """A pair query named the same vertex twice."""
-
-
-class ModeTooLarge(ValidationError):
-    """Brute-force checking was requested beyond its supported order."""
+        self.triples = triples
+        super().__init__(
+            message or f"pair {pair} is covered by both {triples[0]} and {triples[1]}"
+        )
 
 
 class BudgetExceeded(LtsError, RuntimeError):
     """An enumeration hit its configured node or subset budget."""
-
-
-class EvenModulus(ValidationError):
-    """The Steiner construction needs an odd modulus."""
-
-
-class ModulusTooSmall(ValidationError):
-    """The Steiner construction needs a modulus of at least 3."""
-
-
-class NotOddPrime(ValidationError):
-    """A construction parameter must be an odd prime."""
-
-
-class KeepIndexOutOfRange(ValidationError):
-    """A crowning keep-index does not name an uncovered edge."""
-
-
-class OrderTooSmall(ValidationError):
-    """The star expansion needs a base of at least 3 vertices."""
-
-
-class OrderOutOfRange(ValidationError):
-    """The extremal search only supports orders 5 through 12."""
-
-
-class ModulusMismatch(ValidationError):
-    """Sumset operands live in different cyclic groups."""
-
-
-class EmptyOperand(ValidationError):
-    """Sumset operands must be non-empty."""
-
-
-class OutOfRange(ValidationError):
-    """A numeric argument lies outside its documented interval."""
 
 
 class ParseError(LtsError, ValueError):

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 
 from .closure import is_weakly_spreading
 from .core import Triple, TripleSystem, build_system
-from .errors import BudgetExceeded, OrderOutOfRange, OutOfRange
+from .errors import BudgetExceeded, OutOfRange
 
 __all__ = ["SearchResult", "min_weakly_spreading", "ordering_witness"]
 
@@ -119,7 +119,7 @@ def min_weakly_spreading(
     """
     n = operator.index(n)
     if not 5 <= n <= 12:
-        raise OrderOutOfRange(f"search supports 5 <= n <= 12, got n={n}")
+        raise OutOfRange(f"search supports 5 <= n <= 12, got n={n}")
     floor = n - 3
     first = floor if start_at is None else operator.index(start_at)
     if first < 1:

@@ -1,9 +1,12 @@
 """File format and command-line behaviour."""
 
 import json
+import random
 from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltspread import (
     DuplicatePairCoverage,
@@ -17,6 +20,8 @@ from ltspread import (
 )
 from ltspread import bounds as bounds_mod
 from ltspread.cli import parse_system, run, serialize_system
+
+from helpers import random_linear_system
 
 
 def test_parse_minimal_file():
@@ -40,6 +45,8 @@ def test_parse_skips_comments_and_blanks():
         ("lts 1\n3 2\n0 1 2\n", "expected 2 triple lines"),
         ("lts 1\n3 0\n0 1 2\n", "expected 0 triple lines"),
         ("lts 1\n4 1\n0 1 2 3\n", "three integers"),
+        ("lts 1\n4 1\n--1 1 2\n", "three integers"),
+        ("lts 1\n4 1\n0 1 \u00b2\n", "three integers"),
         ("lts 1\n4 1\n0 2 1\n", "not strictly increasing"),
         ("lts 1\n4 1\n0 0 1\n", "not strictly increasing"),
         ("lts 1\n6 2\n2 3 4\n0 1 2\n", "lexicographic line order"),
@@ -61,6 +68,62 @@ def test_parse_validation_errors_carry_line_numbers():
         parse_system("lts 1\n5 2\n0 1 2\n0 1 3\n")
     assert "line 4" in str(exc2.value)
     assert exc2.value.pair == (0, 1)
+
+
+def first_defect(n, triples, line_of):
+    """Pair and message of the first line that leaves [0, n) or covers an
+    already covered pair, scanning lines in order."""
+    covered: dict[tuple[int, int], int] = {}
+    for t in triples:
+        x, y, z = t
+        if z >= n:
+            return None, f"line {line_of[t]}: vertex outside [0, {n}) in {t}"
+        for pair in ((x, y), (x, z), (y, z)):
+            if pair in covered:
+                return pair, (
+                    f"line {line_of[t]}: pair {pair} already covered on line "
+                    f"{covered[pair]}"
+                )
+            covered[pair] = line_of[t]
+    raise AssertionError("no defect injected")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(4, 12),
+    st.sampled_from(["pair", "range"]),
+)
+def test_parse_reports_injected_defect_at_its_line(seed, n, kind):
+    rng = random.Random(seed)
+    triples = list(random_linear_system(rng, n).triples)
+    if kind == "pair":  # re-cover one pair of an existing triple
+        t = rng.choice(triples)
+        a, b = rng.sample(t, 2)
+        c = rng.choice([v for v in range(n) if v not in t])
+        defect = tuple(sorted((a, b, c)))
+    else:
+        a, b = sorted(rng.sample(range(n), 2))
+        defect = (a, b, n + rng.randrange(3))
+    triples = sorted(triples + [defect])
+    # comment lines in between, so line numbers are not just index + 3
+    lines = ["lts 1", f"{n} {len(triples)}"]
+    line_of = {}
+    for t in triples:
+        if rng.random() < 0.3:
+            lines.append("# comment")
+        lines.append("%d %d %d" % t)
+        line_of[t] = len(lines)
+    pair, message = first_defect(n, triples, line_of)
+    error = DuplicatePairCoverage if kind == "pair" else VertexOutOfRange
+    with pytest.raises(error) as exc:
+        parse_system("\n".join(lines) + "\n")
+    assert str(exc.value) == message
+    if kind == "pair":
+        assert exc.value.pair == pair
+        assert set(exc.value.triples) <= set(triples)
+    else:
+        assert exc.value.triple == defect
 
 
 def test_roundtrip_on_generated_systems():
@@ -147,6 +210,15 @@ def test_invalid_system_exits_3(tmp_path, capsys):
     assert "invalid system" in err
 
 
+def test_grammar_error_after_invalid_triples_exits_2(tmp_path, capsys):
+    # line 4 re-covers pair (0, 1), but line 5 breaks the grammar, and the
+    # grammar is checked before the system is validated
+    path = write(tmp_path, "bad.lts", "lts 1\n5 3\n0 1 2\n0 1 3\nx y z\n")
+    code, _, err = run_cli(capsys, "check", "--input", path, "--property", "linear")
+    assert code == 2
+    assert "line 5: triple line must be three integers" in err
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "check", "--input", str(tmp_path / "nope.lts"), "--property", "linear"
@@ -212,6 +284,13 @@ def test_closure_subcommand(tmp_path, capsys):
     assert report["set"] == [0, 1]
     assert report["neighbourhood"] == [5]
     assert report["closure"] == [0, 1, 5]
+
+
+def test_closure_bad_integer_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "sts9.lts", serialize_system(bose_skolem(3)))
+    code, _, err = run_cli(capsys, "closure", "--input", path, "--set=0,--1")
+    assert code == 2
+    assert "comma-separated integers" in err
 
 
 def test_expander_subcommand(tmp_path, capsys):

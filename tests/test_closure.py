@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from ltspread import (
     BudgetExceeded,
-    ModeTooLarge,
     OutOfRange,
     VertexOutOfRange,
     bose_skolem,
@@ -124,8 +123,13 @@ def test_is_spreading_rejects_bad_arguments():
         is_spreading(bose_skolem(3), "fast")
     with pytest.raises(OutOfRange):
         is_spreading(build_system(2))
-    with pytest.raises(ModeTooLarge):
+    with pytest.raises(OutOfRange, match="n=21 exceeds 20"):
         is_spreading(bose_skolem(7), "brute_force")
+
+
+def test_unknown_mode_is_out_of_range():
+    with pytest.raises(OutOfRange, match="unknown mode 'fast'"):
+        is_spreading(bose_skolem(3), "fast")
 
 
 def test_reduced_equals_brute_force_on_random_systems():

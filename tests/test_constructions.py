@@ -3,11 +3,7 @@
 import pytest
 
 from ltspread import (
-    EvenModulus,
-    KeepIndexOutOfRange,
-    ModulusTooSmall,
-    NotOddPrime,
-    OrderTooSmall,
+    OutOfRange,
     bose_skolem,
     build_system,
     cayley_latin,
@@ -35,9 +31,9 @@ def test_bose_skolem_halving_rule():
 
 
 def test_bose_skolem_rejects_bad_modulus():
-    with pytest.raises(EvenModulus):
+    with pytest.raises(OutOfRange, match="modulus must be odd"):
         bose_skolem(4)
-    with pytest.raises(ModulusTooSmall):
+    with pytest.raises(OutOfRange, match="modulus must be at least 3"):
         bose_skolem(1)
 
 
@@ -68,7 +64,7 @@ def test_spreading_6p3_contains_expected_triples():
 
 @pytest.mark.parametrize("p", [1, 2, 4, 9, 15])
 def test_spreading_6p3_requires_odd_prime(p):
-    with pytest.raises(NotOddPrime):
+    with pytest.raises(OutOfRange, match="spreading_6p3 requires an odd prime"):
         spreading_6p3(p)
 
 
@@ -93,9 +89,9 @@ def test_crowning_of_steiner_system_is_identity():
 
 def test_crowning_keep_index_validation():
     base = spreading_6p3(3)
-    with pytest.raises(KeepIndexOutOfRange):
+    with pytest.raises(OutOfRange, match="keep index 18 outside"):
         crowning(base, keep=[18])
-    with pytest.raises(KeepIndexOutOfRange):
+    with pytest.raises(OutOfRange, match="keep index -1 outside"):
         crowning(base, keep=[-1])
 
 
@@ -111,7 +107,7 @@ def test_cayley_latin_layout(p):
 
 def test_cayley_latin_requires_odd_prime():
     for bad in (2, 4, 9):
-        with pytest.raises(NotOddPrime):
+        with pytest.raises(OutOfRange, match="cayley_latin requires an odd prime"):
             cayley_latin(bad)
 
 
@@ -138,7 +134,7 @@ def test_star_expansion_shape(m):
 
 
 def test_star_expansion_rejects_small_base():
-    with pytest.raises(OrderTooSmall):
+    with pytest.raises(OutOfRange, match="star expansion needs a base"):
         star_expansion(3)
 
 

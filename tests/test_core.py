@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from ltspread import errors
 from ltspread import (
     DegenerateTriple,
     DuplicatePairCoverage,
-    SameVertex,
+    OutOfRange,
     VertexOutOfRange,
     bose_skolem,
     build_system,
@@ -44,6 +45,42 @@ def test_duplicate_pair_reports_the_pair():
     assert exc.value.pair == (0, 1)
 
 
+def test_errors_carry_the_offending_triples():
+    with pytest.raises(DuplicatePairCoverage) as exc:
+        build_system(6, [(5, 2, 4), (4, 1, 2)])
+    assert exc.value.pair == (2, 4)
+    assert exc.value.triples == ((1, 2, 4), (2, 4, 5))
+    assert str(exc.value) == "pair (2, 4) is covered by both (1, 2, 4) and (2, 4, 5)"
+    with pytest.raises(VertexOutOfRange) as exc2:
+        build_system(4, [(4, 1, 0)])
+    assert exc2.value.triple == (0, 1, 4)
+    with pytest.raises(VertexOutOfRange) as exc3:
+        build_system(-1, [])
+    assert exc3.value.triple is None
+
+
+def test_first_defect_in_lex_order_is_reported():
+    # (0, 1, 9) is out of range and sorts before the clash on (1, 2)
+    with pytest.raises(VertexOutOfRange) as exc:
+        build_system(5, [(1, 2, 4), (1, 2, 3), (0, 1, 9)])
+    assert exc.value.triple == (0, 1, 9)
+    # the clash on (0, 1) sorts before the out-of-range (1, 2, 9)
+    with pytest.raises(DuplicatePairCoverage) as exc2:
+        build_system(5, [(1, 2, 9), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
+    assert exc2.value.pair == (0, 1)
+    assert exc2.value.triples == ((0, 1, 2), (0, 1, 3))
+
+
+def test_every_error_class_derives_from_lts_error():
+    classes = [
+        obj
+        for obj in vars(errors).values()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+    ]
+    assert len(classes) == 8
+    assert all(issubclass(cls, errors.LtsError) for cls in classes)
+
+
 def test_third_point_lookup():
     s = bose_skolem(3)
     assert s.third_point(0, 1) == 5
@@ -51,7 +88,7 @@ def test_third_point_lookup():
     assert s.third_point(5, 0) == 1
     two = build_system(6, [(0, 1, 2), (3, 4, 5)])
     assert two.third_point(0, 3) is None
-    with pytest.raises(SameVertex):
+    with pytest.raises(OutOfRange, match="two distinct vertices"):
         two.third_point(2, 2)
     with pytest.raises(VertexOutOfRange):
         two.third_point(0, 6)

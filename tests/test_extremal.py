@@ -6,7 +6,6 @@ import pytest
 
 from ltspread import (
     BudgetExceeded,
-    OrderOutOfRange,
     OutOfRange,
     bose_skolem,
     build_system,
@@ -117,9 +116,9 @@ def test_start_at_below_floor_finds_same_minimum():
 
 
 def test_argument_validation():
-    with pytest.raises(OrderOutOfRange):
+    with pytest.raises(OutOfRange, match="5 <= n <= 12, got n=4"):
         min_weakly_spreading(4)
-    with pytest.raises(OrderOutOfRange):
+    with pytest.raises(OutOfRange, match="5 <= n <= 12, got n=13"):
         min_weakly_spreading(13)
     with pytest.raises(OutOfRange):
         min_weakly_spreading(6, start_at=0)
