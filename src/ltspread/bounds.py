@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Iterable
 
@@ -158,14 +158,7 @@ def lower_bound_constants(tau_value: float) -> BoundsReport:
 def bounds_report(tolerance: float = 1e-8) -> BoundsReport:
     """tau maximization and derived constants in one report."""
     z, t = tau(tolerance)
-    base = lower_bound_constants(t)
-    return BoundsReport(
-        tau=t,
-        argmax_z=z,
-        edge_bound_coeff=base.edge_bound_coeff,
-        xi_sp_coeff=base.xi_sp_coeff,
-        naive_coeff=base.naive_coeff,
-    )
+    return replace(lower_bound_constants(t), argmax_z=z)
 
 
 def construction_density(p: int) -> tuple[int, int, float]:

@@ -5,12 +5,17 @@ covered pair {x, y} lies inside the set and its triple's third vertex z is
 outside, z is added.  The spreading-type properties below all ask whether
 such propagation from small seeds reaches the whole vertex set.
 
-The verifiers share one bit-sliced kernel (after Biham, FSE 1997): blocks
-of up to _BLOCK seeds become uint64 matrices M, one row per vertex and one
-bit per seed, swept with M[z] |= M[x] & M[y] over all covered pairs until
-nothing changes; blocks bound memory, so no verifier caps n.  Witnesses:
-seeds go in size-ascending, then lexicographic order, and the first failure
-is the lowest failing bit of the first block that has one.
+Every closure, from a single closure() query to the brute-force spreading
+scan, runs on one bit-sliced kernel (after Biham, FSE 1997): blocks of
+seeds become uint64 matrices M, one row per vertex and one bit per seed,
+swept with M[z] |= M[x] & M[y] over all covered pairs until nothing
+changes.  A block holds _BLOCK seeds, or fewer when the system has so many
+triples that a pair-indexed sweep temporary would outgrow _PAIR_BYTES, so
+memory is bounded and no verifier caps n.  closure() is a block of one
+seed: O(m) array work per call and sweep, against O(|S|^2) table lookups
+for the direct pair loop of neighbourhood().  Witnesses: seeds go in
+size-ascending, then lexicographic order, and the first failure is the
+lowest failing bit of the first block that has one.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Literal
 
 import numpy as np
 
-from .core import Pair, Triple, TripleSystem
+from .core import Triple, TripleSystem
 from .errors import BudgetExceeded, OutOfRange, VertexOutOfRange
 
 __all__ = [
@@ -81,25 +86,6 @@ def _check_subset(system: TripleSystem, subset: Iterable[int]) -> tuple[int, ...
     return out
 
 
-def _close(table: dict[Pair, int], seed: Iterable[int]) -> set[int]:
-    """Fixed point of third-point propagation starting from seed.
-
-    When a vertex joins, only its pairs against vertices already inside are
-    probed, so the whole run costs O(|closure|^2) table lookups.
-    """
-    queue = list(seed)
-    members = set(queue)
-    inside: list[int] = []
-    for v in queue:
-        for w in inside:
-            z = table.get((v, w) if v < w else (w, v))
-            if z is not None and z not in members:
-                members.add(z)
-                queue.append(z)
-        inside.append(v)
-    return members
-
-
 def neighbourhood(system: TripleSystem, subset: Iterable[int]) -> frozenset[int]:
     """Vertices outside subset completing a covered pair inside it."""
     s = _check_subset(system, subset)
@@ -114,13 +100,18 @@ def neighbourhood(system: TripleSystem, subset: Iterable[int]) -> frozenset[int]
 
 
 def closure(system: TripleSystem, subset: Iterable[int]) -> frozenset[int]:
-    """Least superset of subset with empty neighbourhood."""
-    s = _check_subset(system, subset)
-    return frozenset(_close(system.pair_table, s))
+    """Least superset of subset with empty neighbourhood: the kernel on a
+    block of one seed."""
+    row = np.array([_check_subset(system, subset)], dtype=np.intp)
+    m = _close_batch(system.n, row, _pair_arrays(system))
+    return frozenset(np.flatnonzero(_unpack(m, 1)).tolist())
 
 
 # Seeds per kernel block: 2^14 seeds are 256 words (2 KiB) per vertex row.
 _BLOCK = 1 << 14
+# A sweep holds pair-indexed temporaries of 3m rows, one bit per seed; the
+# seeds per block shrink below _BLOCK so that one stays within this size.
+_PAIR_BYTES = 1 << 23
 
 
 def _pair_arrays(system: TripleSystem) -> tuple[np.ndarray, ...]:
@@ -132,14 +123,21 @@ def _pair_arrays(system: TripleSystem) -> tuple[np.ndarray, ...]:
     return x[order], y[order], starts, z[order][starts]
 
 
-def _combinations(n: int, k: int) -> Iterator[np.ndarray]:
-    """combinations(range(n), k) as blocks of up to _BLOCK rows, unranked by
+def _block_size(system: TripleSystem) -> int:
+    """Seeds per block: _BLOCK, or fewer (a multiple of 64, at least 64) when
+    a pair-indexed sweep temporary would outgrow _PAIR_BYTES."""
+    fit = _PAIR_BYTES * 8 // (3 * len(system.triples) or 1) // 64 * 64
+    return min(_BLOCK, max(64, fit))
+
+
+def _combinations(n: int, k: int, block: int) -> Iterator[np.ndarray]:
+    """combinations(range(n), k) as blocks of up to block rows, unranked by
     the combinatorial number system: the subset of lexicographic rank r is
     {n - 1 - c_j}, where C(n, k) - 1 - r = sum_j C(c_j, k - j) greedily."""
     table = [np.array([math.comb(c, k - j) for c in range(n)]) for j in range(k)]
     total = math.comb(n, k)
-    for start in range(0, total, _BLOCK):
-        left = total - 1 - np.arange(start, min(start + _BLOCK, total))
+    for start in range(0, total, block):
+        left = total - 1 - np.arange(start, min(start + block, total))
         c = np.empty((len(left), k), dtype=np.intp)
         for j, t in enumerate(table):
             c[:, j] = np.searchsorted(t, left, side="right") - 1
@@ -202,28 +200,25 @@ def is_spreading(
     Reduced mode batch-closes only non-triple 3-subsets, which is equivalent
     to the full definition: closure is monotone, and by linearity at most
     one 3-subset of any 4 vertices is a triple, so every failing set of size
-    >= 4 contains a failing non-triple 3-subset.  Brute-force mode closes
-    all non-triple subsets of size >= 3 one by one and requires n <= 20.
+    >= 4 contains a failing non-triple 3-subset.  Brute-force mode feeds
+    all non-triple subsets of size >= 3 to the same kernel, size by size,
+    and requires n <= 20.
     """
     if mode not in ("reduced", "brute_force"):
         raise OutOfRange(f"unknown mode {mode!r}")
     n = system.n
     if n < 3:
         raise OutOfRange(f"spreading needs at least 3 vertices, got n={n}")
-    if mode == "reduced":
-        blocks = (rows[~_is_triple(system, rows)] for rows in _combinations(n, 3))
-        return _scan(system, blocks, frozenset)
-    if n > 20:
+    if mode == "brute_force" and n > 20:
         raise OutOfRange(f"brute_force scans all subsets; n={n} exceeds 20")
-    checked = 0
-    for k in range(3, n + 1):
-        for cand in combinations(range(n), k):
-            if k == 3 and system.has_triple(cand):
-                continue
-            checked += 1
-            if len(_close(system.pair_table, cand)) != n:
-                return PropertyVerdict(False, frozenset(cand), checked)
-    return PropertyVerdict(True, None, checked)
+    sizes = range(3, n + 1 if mode == "brute_force" else 4)
+    block = _block_size(system)
+    blocks = (
+        rows[~_is_triple(system, rows)] if k == 3 else rows
+        for k in sizes
+        for rows in _combinations(n, k, block)
+    )
+    return _scan(system, blocks, frozenset)
 
 
 def is_weakly_spreading(system: TripleSystem) -> PropertyVerdict:
@@ -234,7 +229,8 @@ def is_weakly_spreading(system: TripleSystem) -> PropertyVerdict:
     to the batch kernel in combinations(triples, 2) order.
     """
     triples = np.array(system.triples, dtype=np.intp).reshape(-1, 3)
-    blocks = (triples[ij].reshape(-1, 6) for ij in _combinations(len(triples), 2))
+    ijs = _combinations(len(triples), 2, _block_size(system))
+    blocks = (triples[ij].reshape(-1, 6) for ij in ijs)
     return _scan(system, blocks, lambda seed: (tuple(seed[:3]), tuple(seed[3:])))
 
 
@@ -254,7 +250,7 @@ def is_strongly_connected(system: TripleSystem) -> PropertyVerdict:
     """
     n, pairs = system.n, _pair_arrays(system)
     size, side = n, None
-    for rows in _combinations(n, 4):
+    for rows in _combinations(n, 4, _block_size(system)):
         reach = _unpack(_close_batch(n, rows, pairs), len(rows))
         sizes = reach.sum(axis=0)
         i = int(np.argmin(sizes))
@@ -294,12 +290,12 @@ def expander_deficiency(
                 f"(budget {budget}); size {k - 1} is the largest that fits"
             )
 
-    pairs = _pair_arrays(system)
+    pairs, block = _pair_arrays(system), _block_size(system)
     per_size: dict[int, int] = {}
     attainers: list[tuple[int, int, list[int]]] = []
     ratios: list[Fraction] = []
     for k in range(1, max_size + 1):
-        for rows in _combinations(n, k):
+        for rows in _combinations(n, k, block):
             counts = _unpack(_neighbourhoods(_pack(n, rows), pairs), len(rows)).sum(0)
             idx = int(np.argmin(counts))
             per_size[k] = min(per_size.get(k, n), int(counts[idx]))

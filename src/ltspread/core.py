@@ -42,7 +42,7 @@ class TripleSystem:
         pair_table: maps each covered pair (x, y), x < y, to its third vertex.
     """
 
-    __slots__ = ("n", "triples", "pair_table", "_triple_set")
+    __slots__ = ("n", "triples", "pair_table")
 
     def __init__(self, n: int, triples: Iterable[Iterable[int]] = ()):
         n = operator.index(n)
@@ -65,7 +65,6 @@ class TripleSystem:
                 table[pair] = third
         self.triples = tuple(normalized)
         self.pair_table = table
-        self._triple_set = frozenset(normalized)
 
     def third_point(self, x: int, y: int) -> int | None:
         """Return the third vertex of the triple through x and y, or None."""
@@ -79,7 +78,9 @@ class TripleSystem:
         return self.pair_table.get((x, y) if x < y else (y, x))
 
     def has_triple(self, triple: Iterable[int]) -> bool:
-        return tuple(sorted(triple)) in self._triple_set
+        """True when triple, in any entry order, is a triple of the system."""
+        t = tuple(sorted(triple))
+        return len(t) == 3 and self.pair_table.get(t[:2]) == t[2]
 
     def is_steiner(self) -> bool:
         """True when every pair of vertices is covered by a triple."""

@@ -3,6 +3,7 @@ naive scan-the-triples implementations in helpers."""
 
 import importlib
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -289,6 +290,28 @@ def test_kernel_verifiers_agree_with_naive_oracles(block, s):
 
 
 @pytest.mark.parametrize("block", BLOCK_SIZES)
+@settings(max_examples=40, deadline=None)
+@given(random_systems, st.randoms(use_true_random=False))
+def test_brute_force_and_closure_agree_with_naive_oracles(block, s, rng):
+    subsets = [rng.sample(range(s.n), k) for k in range(s.n + 1)]
+    with patch.object(kernel, "_BLOCK", block):
+        brute = is_spreading(s, "brute_force")
+        closures = [closure(s, sub) for sub in subsets]
+    holds, witness = spreading_naive(s)
+    assert (brute.holds, brute.witness) == (holds, witness)
+    tset = set(s.triples)
+    scan = (
+        frozenset(c)
+        for k in range(3, s.n + 1)
+        for c in combinations(range(s.n), k)
+        if c not in tset
+    )
+    assert brute.checked_count == first_failure_count(scan, witness)
+    for sub, cl in zip(subsets, closures):
+        assert cl == frozenset(closure_naive(s, sub))
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
 @settings(max_examples=25, deadline=None)
 @given(random_systems)
 def test_kernel_expander_agrees_with_naive_oracle(block, s):
@@ -325,3 +348,19 @@ def test_strong_connectivity_stops_at_closed_4set(block):
     assert v.witness == frozenset({0, 1, 2, 3})
     assert v.checked_count == comb(21, 4) == 5985
     assert close_batch.call_count == 1
+
+
+def test_kernel_memory_is_bounded_by_triple_count():
+    # 4,992 triples: a full 2^14-seed block would hold two pair-indexed
+    # temporaries of about 29 MiB each; smaller blocks cap each at 8 MiB
+    s = spreading_6p3(31)
+    tracemalloc.start()
+    try:
+        rep = expander_deficiency(s, max_size=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.per_size_min_neighbourhood == {1: 0, 2: 0}
+    assert peak < 24 * 2**20
+    # systems up to 288 triples keep full blocks
+    assert kernel._block_size(spreading_6p3(7)) == kernel._BLOCK

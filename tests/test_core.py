@@ -130,6 +130,9 @@ def test_has_triple_ignores_entry_order():
     s = build_system(5, [(0, 1, 2)])
     assert s.has_triple((2, 0, 1))
     assert not s.has_triple((0, 1, 3))
+    # wrong length or a repeated vertex is never a triple
+    for bad in [(0, 1), (0, 0, 1), (0, 1, 2, 2), (), (1, 1, 1)]:
+        assert not s.has_triple(bad)
 
 
 def test_random_systems_are_linear():
