@@ -9,28 +9,27 @@ Every closure, from a single closure() query to the brute-force spreading
 scan, runs on one bit-sliced kernel (after Biham, FSE 1997): blocks of
 seeds become uint64 matrices M, one row per vertex and one bit per seed,
 swept with M[z] |= M[x] & M[y] over all covered pairs until nothing
-changes.  A block holds _BLOCK seeds, or fewer when the system has so many
-triples that a pair-indexed sweep temporary would outgrow _PAIR_BYTES, so
-memory is bounded and no verifier caps n.  closure() is a block of one
-seed: O(m) array work per call and sweep, against O(|S|^2) table lookups
-for the direct pair loop of neighbourhood().  Witnesses: seeds go in
-size-ascending, then lexicographic order, and the first failure is the
-lowest failing bit of the first block that has one.
+changes, on the system's sweep_pairs.  A block holds _BLOCK seeds, or
+fewer when the system has so many triples that a pair-indexed sweep
+temporary would outgrow _PAIR_BYTES, so memory is bounded and no verifier
+caps n.  closure() is a block of one seed: O(m) array work per sweep,
+while neighbourhood() looks the O(|S|^2) pairs of its set up in the
+system's sorted pair codes.  Witnesses: seeds go in size-ascending, then
+lexicographic order, and the first failure is the lowest failing bit of
+the first block that has one.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Iterable, Iterator, Literal
 
 import numpy as np
 
 from .core import Triple, TripleSystem
-from .errors import BudgetExceeded, OutOfRange, VertexOutOfRange
+from .errors import BudgetExceeded, OutOfRange
 
 __all__ = [
     "PropertyVerdict",
@@ -78,32 +77,19 @@ class ExpanderReport:
     min_ratio: Fraction | None
 
 
-def _check_subset(system: TripleSystem, subset: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(dict.fromkeys(operator.index(v) for v in subset))
-    for v in out:
-        if v < 0 or v >= system.n:
-            raise VertexOutOfRange(f"vertex {v} outside [0, {system.n})")
-    return out
-
-
 def neighbourhood(system: TripleSystem, subset: Iterable[int]) -> frozenset[int]:
     """Vertices outside subset completing a covered pair inside it."""
-    s = _check_subset(system, subset)
-    table = system.pair_table
-    inside = set(s)
-    out: set[int] = set()
-    for x, y in combinations(sorted(s), 2):
-        z = table.get((x, y))
-        if z is not None and z not in inside:
-            out.add(z)
-    return frozenset(out)
+    s = np.array(system._vertices(subset), dtype=np.intp)
+    x, y = s[:, None], s[None, :]
+    thirds = system._third_points((x * system.n + y)[x < y])
+    return frozenset(thirds[thirds >= 0].tolist()).difference(s.tolist())
 
 
 def closure(system: TripleSystem, subset: Iterable[int]) -> frozenset[int]:
     """Least superset of subset with empty neighbourhood: the kernel on a
     block of one seed."""
-    row = np.array([_check_subset(system, subset)], dtype=np.intp)
-    m = _close_batch(system.n, row, _pair_arrays(system))
+    row = np.array([system._vertices(subset)], dtype=np.intp)
+    m = _close_batch(system.n, row, system.sweep_pairs)
     return frozenset(np.flatnonzero(_unpack(m, 1)).tolist())
 
 
@@ -112,15 +98,6 @@ _BLOCK = 1 << 14
 # A sweep holds pair-indexed temporaries of 3m rows, one bit per seed; the
 # seeds per block shrink below _BLOCK so that one stays within this size.
 _PAIR_BYTES = 1 << 23
-
-
-def _pair_arrays(system: TripleSystem) -> tuple[np.ndarray, ...]:
-    """Pairs x, y sorted by third point, then group starts and third points."""
-    t = np.array(system.triples, dtype=np.intp).reshape(-1, 3)
-    x, y, z = (t[:, ends].ravel() for ends in ([0, 0, 1], [1, 2, 2], [2, 1, 0]))
-    order = np.argsort(z, kind="stable")
-    starts = np.flatnonzero(np.diff(z[order], prepend=-1))
-    return x[order], y[order], starts, z[order][starts]
 
 
 def _block_size(system: TripleSystem) -> int:
@@ -143,12 +120,6 @@ def _combinations(n: int, k: int, block: int) -> Iterator[np.ndarray]:
             c[:, j] = np.searchsorted(t, left, side="right") - 1
             left -= t[c[:, j]]
         yield n - 1 - c
-
-
-def _is_triple(system: TripleSystem, rows: np.ndarray) -> np.ndarray:
-    """Which sorted 3-subset rows are triples of the system."""
-    code = np.array([system.n**2, system.n, 1])
-    return np.isin(rows @ code, np.reshape(system.triples, (-1, 3)) @ code)
 
 
 def _pack(n: int, rows: np.ndarray) -> np.ndarray:
@@ -180,7 +151,7 @@ def _close_batch(n: int, rows: np.ndarray, pairs: tuple[np.ndarray, ...]) -> np.
 def _scan(system: TripleSystem, blocks: Iterable, witness: Callable) -> PropertyVerdict:
     """Close blocks of seed rows in order and stop at the first seed whose
     closure misses a vertex, reported as witness(row as a list)."""
-    pairs, done = _pair_arrays(system), 0
+    pairs, done = system.sweep_pairs, 0
     for rows in blocks:
         spans = np.bitwise_and.reduce(_close_batch(system.n, rows, pairs), axis=0)
         failing = np.flatnonzero(_unpack(~spans, len(rows)))
@@ -214,7 +185,7 @@ def is_spreading(
     sizes = range(3, n + 1 if mode == "brute_force" else 4)
     block = _block_size(system)
     blocks = (
-        rows[~_is_triple(system, rows)] if k == 3 else rows
+        rows[~system._are_triples(rows)] if k == 3 else rows
         for k in sizes
         for rows in _combinations(n, k, block)
     )
@@ -228,9 +199,8 @@ def is_weakly_spreading(system: TripleSystem) -> PropertyVerdict:
     with more than one triple, since closure is monotone.  Seeds t1 + t2 go
     to the batch kernel in combinations(triples, 2) order.
     """
-    triples = np.array(system.triples, dtype=np.intp).reshape(-1, 3)
-    ijs = _combinations(len(triples), 2, _block_size(system))
-    blocks = (triples[ij].reshape(-1, 6) for ij in ijs)
+    ijs = _combinations(len(system.triples), 2, _block_size(system))
+    blocks = (system.triple_array[ij].reshape(-1, 6) for ij in ijs)
     return _scan(system, blocks, lambda seed: (tuple(seed[:3]), tuple(seed[3:])))
 
 
@@ -248,7 +218,7 @@ def is_strongly_connected(system: TripleSystem) -> PropertyVerdict:
     4-subset to reach the size, as a closed set's first four vertices are
     its lex-least 4-subset.
     """
-    n, pairs = system.n, _pair_arrays(system)
+    n, pairs = system.n, system.sweep_pairs
     size, side = n, None
     for rows in _combinations(n, 4, _block_size(system)):
         reach = _unpack(_close_batch(n, rows, pairs), len(rows))
@@ -290,7 +260,7 @@ def expander_deficiency(
                 f"(budget {budget}); size {k - 1} is the largest that fits"
             )
 
-    pairs, block = _pair_arrays(system), _block_size(system)
+    pairs, block = system.sweep_pairs, _block_size(system)
     per_size: dict[int, int] = {}
     attainers: list[tuple[int, int, list[int]]] = []
     ratios: list[Fraction] = []
@@ -301,7 +271,7 @@ def expander_deficiency(
             per_size[k] = min(per_size.get(k, n), int(counts[idx]))
             attainers.append((int(counts[idx]) - (k - 3), k, rows[idx].tolist()))
             if k == 3:
-                counts = counts[~_is_triple(system, rows)]
+                counts = counts[~system._are_triples(rows)]
             if k >= 3 and counts.size:
                 ratios.append(Fraction(int(counts.min()), k))
     deficiency, _, worst_set = min(attainers)

@@ -2,15 +2,17 @@
 
 A linear triple system on vertices 0..n-1 is a set of three-element blocks
 in which every unordered vertex pair lies in at most one block.  Validation
-happens once, at construction; the pair -> third-vertex table built here is
-what keeps the closure and property checks in the rest of the package cheap.
+happens once, at construction, in numpy; the pair index built there is the
+one that every lookup, closure and property check in the package reads.
 """
 
 from __future__ import annotations
 
+import math
 import operator
-from itertools import combinations
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import (
     DegenerateTriple,
@@ -21,6 +23,8 @@ from .errors import (
 
 Triple = tuple[int, int, int]
 Pair = tuple[int, int]
+# Pair codes x*n + y must fit in intp, which caps the vertex count.
+_MAX_ORDER = math.isqrt(np.iinfo(np.intp).max)
 
 
 def _normalize_triple(raw: Iterable[int]) -> Triple:
@@ -39,57 +43,102 @@ class TripleSystem:
     Attributes:
         n: number of vertices; labels are 0..n-1.
         triples: lexicographically sorted tuple of sorted triples.
-        pair_table: maps each covered pair (x, y), x < y, to its third vertex.
+        triple_array: the triples as an (m, 3) intp array.
+        pair_codes, pair_thirds: the 3m covered pairs x < y as sorted codes
+            x*n + y, and the third vertex of each.
+        sweep_pairs: the kernel's (x, y, starts, thirds): the pairs grouped
+            by third vertex.  All arrays are read-only and built once.
     """
 
-    __slots__ = ("n", "triples", "pair_table")
+    __slots__ = (
+        "n", "triples", "triple_array", "pair_codes", "pair_thirds", "sweep_pairs"
+    )
 
     def __init__(self, n: int, triples: Iterable[Iterable[int]] = ()):
         n = operator.index(n)
-        if n < 0:
-            raise VertexOutOfRange(f"vertex count must be non-negative, got {n}")
+        if not 0 <= n <= _MAX_ORDER:
+            bound = "non-negative" if n < 0 else f"at most {_MAX_ORDER}"
+            raise VertexOutOfRange(f"vertex count must be {bound}, got {n}")
         self.n = n
-        normalized = sorted({_normalize_triple(t) for t in triples})
-        # One pass in lexicographic order: the first defect found is the
-        # lexicographically first, which the parser maps back to a line.
-        table: dict[Pair, int] = {}
-        for t in normalized:
-            x, y, z = t
-            if x < 0 or z >= n:
-                v = x if x < 0 else z
-                raise VertexOutOfRange(f"vertex {v} outside [0, {n}) in triple {t}", t)
-            for pair, third in (((x, y), z), ((x, z), y), ((y, z), x)):
-                if pair in table:
-                    earlier = tuple(sorted(pair + (table[pair],)))
-                    raise DuplicatePairCoverage(pair, (earlier, t))
-                table[pair] = third
-        self.triples = tuple(normalized)
-        self.pair_table = table
+        self.triples = tri = tuple(sorted({_normalize_triple(t) for t in triples}))
+        try:
+            t = np.array(tri, dtype=np.intp).reshape(-1, 3)
+        except OverflowError:  # such a vertex is out of range; clipping keeps it so
+            t = np.array(tri, dtype=object).clip(-1, n).astype(np.intp)
+        # pair slot j of triple i is flat index 3i + j: pairs xy, xz, yz
+        x, y, z = (t.take(c, axis=1).ravel() for c in ([0, 0, 1], [1, 2, 2], [2, 1, 0]))
+        codes = x * n + y
+        by_code = np.argsort(codes, kind="stable")
+        codes = codes[by_code]
+        # The first defect is the lowest triple index with a bad vertex or a
+        # pair covered at a lower index.  The stable sort puts each repeated
+        # cover (flat index f) right after the one before it.  A bad triple's
+        # codes may clash, but never below its own index, where range wins.
+        bad = np.flatnonzero((t[:, 0] < 0) | (t[:, 2] >= n))
+        first = int(bad[0]) if bad.size else len(tri)
+        if (repeats := np.flatnonzero(codes[1:] == codes[:-1])).size:
+            k = repeats[np.argmin(by_code[repeats + 1])]
+            if (f := int(by_code[k + 1])) // 3 < first:
+                pair = (int(x[f]), int(y[f]))
+                raise DuplicatePairCoverage(pair, (tri[by_code[k] // 3], tri[f // 3]))
+        if bad.size:
+            culprit = tri[first]
+            v = culprit[0] if culprit[0] < 0 else culprit[2]
+            message = f"vertex {v} outside [0, {n}) in triple {culprit}"
+            raise VertexOutOfRange(message, culprit)
+        by_third = np.argsort(z, kind="stable")
+        thirds, starts = np.unique(z[by_third], return_index=True)
+        self.sweep_pairs = (x[by_third], y[by_third], starts, thirds)
+        self.triple_array, self.pair_codes, self.pair_thirds = t, codes, z[by_code]
+        for array in (t, codes, self.pair_thirds, *self.sweep_pairs):
+            array.flags.writeable = False
+
+    def _vertices(self, subset: Iterable[int]) -> tuple[int, ...]:
+        """The distinct vertices of subset, in order; each must be in range."""
+        out = tuple(dict.fromkeys(map(operator.index, subset)))
+        for v in out:
+            if v < 0 or v >= self.n:
+                raise VertexOutOfRange(f"vertex {v} outside [0, {self.n})")
+        return out
+
+    def _third_points(self, codes: np.ndarray) -> np.ndarray:
+        """Third vertex of each pair code x*n + y, or -1 where it is uncovered."""
+        at = np.searchsorted(self.pair_codes, codes)
+        hit = np.searchsorted(self.pair_codes, codes, side="right") > at
+        out = np.full(len(codes), -1, dtype=np.intp)
+        out[hit] = self.pair_thirds[at[hit]]
+        return out
+
+    def _are_triples(self, rows: np.ndarray) -> np.ndarray:
+        """Which rows, sorted 3-subsets of [0, n), are triples."""
+        return self._third_points(rows[:, 0] * self.n + rows[:, 1]) == rows[:, 2]
 
     def third_point(self, x: int, y: int) -> int | None:
         """Return the third vertex of the triple through x and y, or None."""
-        x = operator.index(x)
-        y = operator.index(y)
-        for v in (x, y):
-            if v < 0 or v >= self.n:
-                raise VertexOutOfRange(f"vertex {v} outside [0, {self.n})")
-        if x == y:
-            raise OutOfRange(f"pair query needs two distinct vertices, got {x} twice")
-        return self.pair_table.get((x, y) if x < y else (y, x))
+        pair = self._vertices((x, y))
+        if len(pair) < 2:
+            raise OutOfRange(
+                f"pair query needs two distinct vertices, got {pair[0]} twice"
+            )
+        (third,) = self._third_points(np.array([min(pair) * self.n + max(pair)]))
+        return None if third < 0 else int(third)
 
     def has_triple(self, triple: Iterable[int]) -> bool:
         """True when triple, in any entry order, is a triple of the system."""
         t = tuple(sorted(triple))
-        return len(t) == 3 and self.pair_table.get(t[:2]) == t[2]
+        # range first: codes of outside vertices can equal those of real pairs
+        ok = len(t) == 3 and 0 <= t[0] < t[1] < t[2] < self.n
+        return ok and bool(self._are_triples(np.array([t]))[0])
 
     def is_steiner(self) -> bool:
         """True when every pair of vertices is covered by a triple."""
-        return len(self.pair_table) == self.n * (self.n - 1) // 2
+        return len(self.pair_codes) == self.n * (self.n - 1) // 2
 
     def uncovered_edges(self) -> list[Pair]:
         """All pairs not covered by any triple, in lexicographic order."""
-        table = self.pair_table
-        return [p for p in combinations(range(self.n), 2) if p not in table]
+        x, y = np.triu_indices(self.n, 1)
+        free = self._third_points(x * self.n + y) < 0
+        return list(zip(x[free].tolist(), y[free].tolist()))
 
     def span(self) -> frozenset[int]:
         """The set of vertices that appear in at least one triple."""
@@ -117,7 +166,7 @@ def build_system(n: int, triples: Iterable[Iterable[int]] = ()) -> TripleSystem:
     sorted and deduplicated, then checked in lexicographic order, so the
     error names the lexicographically first defect.  Raises DegenerateTriple
     for a triple without three distinct entries, VertexOutOfRange (``.triple``
-    is the offending triple; None when n itself is negative) and
+    is the offending triple; None when n itself is out of range) and
     DuplicatePairCoverage (``.pair``, and ``.triples``: the earlier and the
     later triple covering it).
     """

@@ -1,9 +1,10 @@
 """Shared test utilities: random system generation and naive reference
 implementations.
 
-The naive functions deliberately avoid pair_table and every package-side
-shortcut: they scan the triple list directly, so they form an independent
-route against which the optimized operators are compared.
+The naive functions deliberately avoid the pair index TripleSystem builds
+and every package-side shortcut: they scan the triple list directly, or
+validate with a plain dictionary, so they form an independent route against
+which the optimized operators are compared.
 """
 
 from __future__ import annotations
@@ -12,7 +13,14 @@ import random
 from fractions import Fraction
 from itertools import combinations, count
 
-from ltspread import TripleSystem, build_system
+from hypothesis import strategies as st
+
+from ltspread import (
+    DuplicatePairCoverage,
+    TripleSystem,
+    VertexOutOfRange,
+    build_system,
+)
 
 
 def random_linear_system(rng: random.Random, n: int, fill: float = 0.7) -> TripleSystem:
@@ -34,6 +42,39 @@ def random_linear_system(rng: random.Random, n: int, fill: float = 0.7) -> Tripl
             if len(triples) >= budget:
                 break
     return build_system(n, triples)
+
+
+random_systems = st.one_of(
+    st.builds(
+        lambda seed, n, fill: random_linear_system(random.Random(seed), n, fill),
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 11),
+        st.sampled_from([0.5, 1.0, 1.5]),
+    ),
+    st.builds(build_system, st.integers(3, 9)),  # no triples at all
+)
+
+
+def first_defect_naive(n: int, triples) -> Exception | None:
+    """The error build_system(n, triples) raises, or None when it raises
+    none, for n >= 0 and triples of three distinct integers each.
+
+    One pass over the sorted, deduplicated triples with a pair -> third
+    vertex dictionary: the first triple with a vertex outside [0, n) or a
+    pair already covered by an earlier triple is the defect.
+    """
+    table: dict[tuple[int, int], int] = {}
+    for t in sorted({tuple(sorted(t)) for t in triples}):
+        x, y, z = t
+        if x < 0 or z >= n:
+            v = x if x < 0 else z
+            return VertexOutOfRange(f"vertex {v} outside [0, {n}) in triple {t}", t)
+        for pair, third in (((x, y), z), ((x, z), y), ((y, z), x)):
+            if pair in table:
+                earlier = tuple(sorted(pair + (table[pair],)))
+                return DuplicatePairCoverage(pair, (earlier, t))
+            table[pair] = third
+    return None
 
 
 def neighbourhood_naive(system: TripleSystem, subset) -> set[int]:

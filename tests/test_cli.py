@@ -161,7 +161,7 @@ def test_check_spreading_holds(tmp_path, capsys):
     assert report["holds"] is True
     assert report["witness"] is None
     assert report["system"] == {"n": 9, "m": 12, "steiner": True}
-    assert "wall_time_s" in err
+    assert "run_time_s" in err
 
 
 def test_check_failure_exits_1_with_witness(tmp_path, capsys):
@@ -208,6 +208,14 @@ def test_invalid_system_exits_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", "--input", path, "--property", "linear")
     assert code == 3
     assert "invalid system" in err
+    # a vertex count too large for the pair index, and a vertex too large
+    # for a machine integer
+    huge = "lts 1\n5 1\n0 1 100000000000000000000000000000\n"
+    for name, text in [("big.lts", "lts 1\n4000000000 0\n"), ("huge.lts", huge)]:
+        path = write(tmp_path, name, text)
+        code, _, err = run_cli(capsys, "check", "--input", path, "--property", "linear")
+        assert code == 3
+        assert "invalid system" in err
 
 
 def test_grammar_error_after_invalid_triples_exits_2(tmp_path, capsys):

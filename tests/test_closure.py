@@ -37,6 +37,7 @@ from helpers import (
     first_failure_count,
     neighbourhood_naive,
     random_linear_system,
+    random_systems,
     spreading_naive,
     strongly_connected_naive,
     weakly_spreading_naive,
@@ -255,17 +256,6 @@ def test_expander_worst_set_prefers_smallest_size_then_lex():
 # witnesses fall in later blocks and the last block is partial.
 kernel = importlib.import_module("ltspread.closure")
 BLOCK_SIZES = [kernel._BLOCK, 64]
-
-random_systems = st.one_of(
-    st.builds(
-        lambda seed, n, fill: random_linear_system(random.Random(seed), n, fill),
-        st.integers(0, 2**32 - 1),
-        st.integers(3, 11),
-        st.sampled_from([0.5, 1.0, 1.5]),
-    ),
-    st.builds(build_system, st.integers(3, 9)),  # no triples at all
-)
-
 
 @pytest.mark.parametrize("block", BLOCK_SIZES)
 @settings(max_examples=40, deadline=None)

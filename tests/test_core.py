@@ -1,8 +1,13 @@
 """Data model: validation, lookup, and skeleton queries."""
 
 import random
+import sys
+import tracemalloc
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltspread import errors
 from ltspread import (
@@ -12,10 +17,16 @@ from ltspread import (
     VertexOutOfRange,
     bose_skolem,
     build_system,
+    neighbourhood,
     spreading_6p3,
 )
 
-from helpers import random_linear_system
+from helpers import (
+    first_defect_naive,
+    neighbourhood_naive,
+    random_linear_system,
+    random_systems,
+)
 
 
 def test_triples_are_sorted_and_deduplicated():
@@ -30,6 +41,12 @@ def test_vertex_out_of_range_rejected():
         build_system(4, [(-1, 1, 2)])
     with pytest.raises(VertexOutOfRange):
         build_system(-1, [])
+    # pair codes x*n + y must fit in a machine integer
+    with pytest.raises(VertexOutOfRange, match="vertex count must be at most"):
+        build_system(2**62, [])
+    with pytest.raises(VertexOutOfRange) as exc:
+        build_system(4, [(0, 1, 2), (10**30, 1, 0)])
+    assert exc.value.triple == (0, 1, 10**30)
 
 
 def test_degenerate_triple_rejected():
@@ -145,4 +162,116 @@ def test_random_systems_are_linear():
             for pair in ((x, y), (x, z), (y, z)):
                 assert pair not in seen
                 seen[pair] = (x, y, z)
-        assert len(s.pair_table) == 3 * len(s.triples)
+        assert n * (n - 1) // 2 - len(s.uncovered_edges()) == 3 * len(s.triples)
+
+
+def _inject(rng, kind, n, triples):
+    """A triple holding one defect of the given kind; entries distinct."""
+    outside = [-2, -1, n, n + 1]
+    if kind.startswith("pair") and triples:
+        # re-cover a pair of an earlier triple, at position xy, xz or yz of
+        # the new triple, or with an out-of-range third vertex
+        a, b = sorted(rng.sample(rng.choice(triples), 2))
+        thirds = {
+            "pair-xy": range(b + 1, n),
+            "pair-xz": range(a + 1, b),
+            "pair-yz": range(0, a),
+            "pair-range": outside,
+        }[kind]
+        thirds = [w for w in thirds or outside if w not in (a, b)]
+        return (a, b, rng.choice(thirds))
+    if kind == "negative":
+        return (-rng.randint(1, 3), *rng.sample(range(n + 2), 2))
+    if kind == "vertex-n":
+        return (n, *rng.sample([v for v in range(-1, n + 2) if v != n], 2))
+    return tuple(rng.sample(range(-2, n + 2), 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 11),
+    st.lists(
+        # in-range re-covers twice as likely: range defects mostly come first
+        st.sampled_from(
+            ["pair-xy", "pair-xz", "pair-yz"] * 2
+            + ["pair-range", "negative", "vertex-n", "any"]
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_build_system_reports_the_naive_first_defect(seed, n, kinds):
+    rng = random.Random(seed)
+    triples = list(random_linear_system(rng, n).triples)
+    for kind in kinds:
+        triples.append(_inject(rng, kind, n, triples))
+    rng.shuffle(triples)
+    triples = [rng.sample(t, 3) for t in triples]
+    expected = first_defect_naive(n, triples)
+    if expected is None:
+        assert build_system(n, triples).triples == tuple(
+            sorted({tuple(sorted(t)) for t in triples})
+        )
+        return
+    with pytest.raises(errors.ValidationError) as exc:
+        build_system(n, triples)
+    assert type(exc.value) is type(expected)
+    assert str(exc.value) == str(expected)
+    for attr in ("triple", "pair", "triples"):
+        assert getattr(exc.value, attr, None) == getattr(expected, attr, None)
+
+
+lookup_systems = st.one_of(
+    random_systems,
+    st.builds(build_system, st.integers(0, 2)),
+    # a triple through the last vertex
+    st.builds(lambda n: build_system(n, [(0, n - 2, n - 1)]), st.integers(3, 9)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lookup_systems, st.integers(0, 2**32 - 1))
+def test_lookups_agree_with_naive_scans(s, seed):
+    rng, n = random.Random(seed), s.n
+
+    def third_naive(x, y):
+        for t in s.triples:
+            if x in t and y in t:
+                return sum(t) - x - y
+        return None
+
+    pairs = list(combinations(range(n), 2))
+    for x, y in pairs:
+        assert s.third_point(x, y) == s.third_point(y, x) == third_naive(x, y)
+    uncovered = [p for p in pairs if third_naive(*p) is None]
+    assert s.uncovered_edges() == uncovered
+    assert s.is_steiner() == (not uncovered)
+    # out-of-range vertices too, whose pair codes can equal those of real pairs
+    probes = list(combinations(range(n), 3))
+    outside = range(-n - 1, 2 * n + 2)
+    probes += [tuple(sorted(rng.sample(outside, 3))) for _ in range(50)]
+    for t in probes:
+        assert s.has_triple(rng.sample(t, 3)) == (t in s.triples)
+    odd = [(), (0,), (0, 1), (0, 0, 1), (1, 1, 1), (0, 1, 2, 3), (0, 1, 10**30)]
+    odd += [t + t[-1:] for t in s.triples] + [t[:2] for t in s.triples]
+    assert not any(s.has_triple(t) for t in odd)
+    for k in range(n + 1):
+        subset = rng.sample(range(n), k)
+        assert neighbourhood(s, subset) == neighbourhood_naive(s, subset)
+
+
+def test_index_is_compact():
+    # The pair index is arrays of intp: about 120 bytes per triple on a
+    # 64-bit build.  A dict keyed by pair tuples needs over 250.
+    triples = list(spreading_6p3(31).triples)
+    tracemalloc.start()
+    try:
+        s = build_system(189, triples)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    own = sys.getsizeof(s.triples) + sum(map(sys.getsizeof, s.triples))
+    assert retained - own < 160 * len(triples)
+    arrays = (s.triple_array, s.pair_codes, s.pair_thirds, *s.sweep_pairs)
+    assert not any(a.flags.writeable for a in arrays)
