@@ -138,8 +138,6 @@ def _load(path: str) -> TripleSystem:
         text = fh.read()
     try:
         return parse_system(text)
-    except ParseError:
-        raise
     except ValidationError as exc:
         raise _InvalidSystemFile(f"{path}: {exc}") from exc
 

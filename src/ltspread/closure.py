@@ -10,17 +10,24 @@ scan, runs on one bit-sliced kernel (after Biham, FSE 1997): blocks of
 seeds become uint64 matrices M, one row per vertex and one bit per seed,
 swept with M[z] |= M[x] & M[y] over all covered pairs until nothing
 changes, on the system's sweep_pairs.  A block holds _BLOCK seeds, or
-fewer when the system has so many triples that a pair-indexed sweep
-temporary would outgrow _PAIR_BYTES, so memory is bounded and no verifier
-caps n.  closure() is a block of one seed: O(m) array work per sweep,
-while neighbourhood() looks the O(|S|^2) pairs of its set up in the
-system's sorted pair codes.  Witnesses: seeds go in size-ascending, then
+fewer when a pair-indexed sweep temporary (3m rows) or a vertex-indexed
+byte matrix (n rows, a byte per seed) would outgrow _PAIR_BYTES, so memory
+is bounded and no verifier caps n.  The verifiers that scan a single seed
+size unrank their seeds (_combinations) and scatter them into M (_pack).
+expander_deficiency scans every size from 1 up, so it builds each size's
+packed, lex-ordered table from the size below by Pascal's rule (_subsets)
+and sweeps word-aligned slices of it; a size whose table would outgrow
+_PAIR_BYTES gets its blocks built one at a time by the same rule.
+closure() is a block of one seed: O(m) array work per sweep, while
+neighbourhood() looks the O(|S|^2) pairs of its set up in the system's
+sorted pair codes.  Witnesses: seeds go in size-ascending, then
 lexicographic order, and the first failure is the lowest failing bit of
 the first block that has one.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,16 +102,20 @@ def closure(system: TripleSystem, subset: Iterable[int]) -> frozenset[int]:
 
 # Seeds per kernel block: 2^14 seeds are 256 words (2 KiB) per vertex row.
 _BLOCK = 1 << 14
-# A sweep holds pair-indexed temporaries of 3m rows, one bit per seed; the
-# seeds per block shrink below _BLOCK so that one stays within this size.
+# A sweep holds pair-indexed temporaries of 3m rows, one bit per seed, and a
+# block's seeds or neighbourhoods may be held as n rows of a byte per seed;
+# the seeds per block shrink below _BLOCK so that each stays within this
+# size.  expander_deficiency builds no seed table larger than it either.
 _PAIR_BYTES = 1 << 23
 
 
 def _block_size(system: TripleSystem) -> int:
     """Seeds per block: _BLOCK, or fewer (a multiple of 64, at least 64) when
-    a pair-indexed sweep temporary would outgrow _PAIR_BYTES."""
-    fit = _PAIR_BYTES * 8 // (3 * len(system.triples) or 1) // 64 * 64
-    return min(_BLOCK, max(64, fit))
+    a pair-indexed sweep temporary, or an n x block byte matrix such as
+    _pack's, would outgrow _PAIR_BYTES."""
+    n, m = system.n, len(system.triples)
+    fit = min(_PAIR_BYTES * 8 // (3 * m or 1), _PAIR_BYTES // (n or 1))
+    return min(_BLOCK, max(64, fit // 64 * 64))
 
 
 def _combinations(n: int, k: int, block: int) -> Iterator[np.ndarray]:
@@ -231,6 +242,94 @@ def is_strongly_connected(system: TripleSystem) -> PropertyVerdict:
     return PropertyVerdict(side is None, side, math.comb(n, 4))
 
 
+_ONES = (1 << 64) - 1
+
+
+def _copy_bits(dst: np.ndarray, d: int, src: np.ndarray, s: int, length: int) -> None:
+    """OR bits s..s+length-1 of each src row into bits d..d+length-1 of the
+    same dst row."""
+    w0, w1 = d >> 6, (d + length + 63) >> 6
+    q, r = divmod(64 * w0 + s - d, 64)  # src word and bit of dst bit 64 * w0
+    words = np.zeros((len(src), w1 - w0 + 1), dtype=np.uint64)
+    lo, hi = max(q, 0), min(q + w1 - w0 + 1, src.shape[1])
+    words[:, lo - q : hi - q] = src[:, lo:hi]
+    part = words[:, :-1] >> r
+    if r:
+        part |= words[:, 1:] << (64 - r)
+    part[:, 0] &= (_ONES << (d & 63)) & _ONES
+    part[:, -1] &= _ONES >> (-(d + length) & 63)
+    dst[:, w0:w1] |= part
+
+
+def _stripe(row: np.ndarray, d: int, length: int) -> None:
+    """Set bits d..d+length-1 of a packed row."""
+    w0, w1 = d >> 6, (d + length - 1) >> 6
+    first, last = (_ONES << (d & 63)) & _ONES, _ONES >> (-(d + length) & 63)
+    if w0 == w1:
+        row[w0] |= first & last
+    else:
+        row[w0] |= first
+        row[w0 + 1 : w1] = _ONES
+        row[w1] |= last
+
+
+def _subsets(
+    n: int, k: int, start: int, stop: int, table: np.ndarray | None, level: int
+) -> np.ndarray:
+    """The k-subsets of range(n) of lexicographic rank start..stop-1 as an
+    (n, words) uint64 M: bit i of row v says v is in the subset of rank
+    start + i.  table packs all the level-subsets (None at level 0), and
+    level < k.
+
+    Pascal's rule: the k-subsets with least vertex a are {a} plus the last
+    C(n-1-a, k-1) (k-1)-subsets, those above a.  Each least vertex costs one
+    bit-shifted copy of those, out of table when level == k - 1 and else out
+    of a range of size k - 1 built by this rule, and one stripe of ones in
+    row a.
+    """
+    out = np.zeros((n, -(-(stop - start) // 64)), dtype=np.uint64)
+    total, below = math.comb(n, k), math.comb(n, k - 1)
+
+    def ahead(a: int) -> int:  # the k-subsets with least vertex <= a
+        return total - math.comb(n - 1 - a, k)
+
+    a = bisect.bisect_right(range(n), start, key=ahead)
+    at = start
+    while at < stop:
+        end = min(stop, ahead(a))
+        if k > 1:  # the 0-subset {} has no bits to copy
+            s = below - math.comb(n - 1 - a, k - 1) + at - ahead(a - 1)
+            src = table
+            if level < k - 1:
+                src, s = _subsets(n, k - 1, s, s + end - at, table, level), 0
+            _copy_bits(out[a + 1 :], at - start, src[a + 1 :], s, end - at)
+        _stripe(out[a], at - start, end - at)
+        at, a = end, a + 1
+    return out
+
+
+def _unrank(n: int, k: int, rank: int) -> list[int]:
+    """The k-subset of range(n) of lexicographic rank rank."""
+    subset, a = [], 0
+    for j in range(k - 1, -1, -1):
+        while rank >= (skip := math.comb(n - 1 - a, j)):
+            rank -= skip
+            a += 1
+        subset.append(a)
+        a += 1
+    return subset
+
+
+def _triple_ranks(system: TripleSystem) -> np.ndarray:
+    """Lexicographic ranks of the triples among the 3-subsets, ascending."""
+    n = system.n
+    x, y, z = system.triple_array.T
+    # 3-subsets with least vertex < x, then {x, y', z'} with y' < y, then z
+    least = math.comb(n, 3) - (n - x) * (n - x - 1) * (n - x - 2) // 6
+    middle = ((n - 1 - x) * (n - 2 - x) - (n - y) * (n - y - 1)) // 2
+    return least + middle + z - y - 1
+
+
 def expander_deficiency(
     system: TripleSystem,
     max_size: int | None = None,
@@ -242,14 +341,18 @@ def expander_deficiency(
     max_size defaults to n // 2, the range of interest for expansion.  The
     planned subset count is checked against budget up front and raises
     BudgetExceeded stating the largest size that still fits.  One sweep of
-    the batch kernel gives the neighbourhoods of a block of sets.
+    the batch kernel gives the neighbourhoods of a block of sets.  The sets
+    of each size are a packed, lex-ordered table built from the size below
+    (see _subsets); a table that would outgrow _PAIR_BYTES is never built,
+    and its blocks are built one by one instead.
     """
     n = system.n
-    if max_size is None:
-        max_size = n // 2
-    max_size = min(max_size, n)
-    if max_size < 1:
+    if max_size is not None and max_size < 1:
         raise OutOfRange(f"max_size must be at least 1, got {max_size}")
+    if n < (need := 2 if max_size is None else 1):
+        default = " for the default max_size n // 2" if max_size is None else ""
+        raise OutOfRange(f"expander reports need n >= {need}{default}, got n={n}")
+    max_size = min(n // 2 if max_size is None else max_size, n)
 
     total = 0
     for k in range(1, max_size + 1):
@@ -261,19 +364,30 @@ def expander_deficiency(
             )
 
     pairs, block = system.sweep_pairs, _block_size(system)
+    triples = _triple_ranks(system) if max_size >= 3 else None
+    table, level = None, 0  # table packs all level-sets, the largest size built
     per_size: dict[int, int] = {}
-    attainers: list[tuple[int, int, list[int]]] = []
+    attainers: list[tuple[int, int, int]] = []  # (deficiency, size, lex rank)
     ratios: list[Fraction] = []
     for k in range(1, max_size + 1):
-        for rows in _combinations(n, k, block):
-            counts = _unpack(_neighbourhoods(_pack(n, rows), pairs), len(rows)).sum(0)
+        count = math.comb(n, k)
+        if level == k - 1 and n * -(-count // 64) * 8 <= _PAIR_BYTES:
+            table, level = _subsets(n, k, 0, count, table, level), k
+        for start in range(0, count, block):
+            stop = min(start + block, count)
+            if level == k:
+                m = table[:, start // 64 : -(-stop // 64)]
+            else:
+                m = _subsets(n, k, start, stop, table, level)
+            counts = _unpack(_neighbourhoods(m, pairs), stop - start).sum(0)
             idx = int(np.argmin(counts))
             per_size[k] = min(per_size.get(k, n), int(counts[idx]))
-            attainers.append((int(counts[idx]) - (k - 3), k, rows[idx].tolist()))
+            attainers.append((int(counts[idx]) - (k - 3), k, start + idx))
             if k == 3:
-                counts = counts[~system._are_triples(rows)]
+                lo, hi = np.searchsorted(triples, (start, stop))
+                counts = np.delete(counts, triples[lo:hi] - start)
             if k >= 3 and counts.size:
                 ratios.append(Fraction(int(counts.min()), k))
-    deficiency, _, worst_set = min(attainers)
+    deficiency, k, rank = min(attainers)
     ratio = min(ratios, default=None)
-    return ExpanderReport(deficiency, per_size, frozenset(worst_set), ratio)
+    return ExpanderReport(deficiency, per_size, frozenset(_unrank(n, k, rank)), ratio)

@@ -9,6 +9,7 @@ from itertools import combinations
 from math import comb
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -239,6 +240,17 @@ def test_expander_guards():
         expander_deficiency(bose_skolem(3), max_size=0)
 
 
+def test_expander_too_few_vertices_names_the_vertex_count():
+    for n in (0, 1):
+        with pytest.raises(OutOfRange, match=f"need n >= 2 for the default .*got n={n}"):
+            expander_deficiency(build_system(n))
+    with pytest.raises(OutOfRange, match="need n >= 1, got n=0"):
+        expander_deficiency(build_system(0), max_size=1)
+    rep = expander_deficiency(build_system(1), max_size=1)
+    assert rep.per_size_min_neighbourhood == {1: 0}
+    assert rep.worst_set == frozenset({0})
+
+
 def test_expander_worst_set_prefers_smallest_size_then_lex():
     # two disjoint triples: every triple is closed (deficiency 0 at size 3)
     s = build_system(6, [(0, 1, 2), (3, 4, 5)])
@@ -256,6 +268,28 @@ def test_expander_worst_set_prefers_smallest_size_then_lex():
 # witnesses fall in later blocks and the last block is partial.
 kernel = importlib.import_module("ltspread.closure")
 BLOCK_SIZES = [kernel._BLOCK, 64]
+# At 256 bytes the expander builds no seed table past 256 bytes (at n = 12,
+# none past size 2): it assembles those sizes block by block from ranges of
+# the size below.
+PAIR_BYTES = [kernel._PAIR_BYTES, 256]
+
+
+@pytest.mark.parametrize("pair_bytes", PAIR_BYTES)
+def test_expander_seed_blocks_are_the_lex_ordered_subsets(pair_bytes):
+    for n in range(1, 13):
+        with patch.object(kernel, "_PAIR_BYTES", pair_bytes), patch.object(
+            kernel, "_neighbourhoods", wraps=kernel._neighbourhoods
+        ) as sweep:
+            expander_deficiency(build_system(n), max_size=n, budget=2**n)
+            block = kernel._block_size(build_system(n))
+        blocks = (call.args[0] for call in sweep.call_args_list)
+        for k in range(1, n + 1):
+            subsets = np.array(list(combinations(range(n), k)))
+            for start in range(0, len(subsets), block):
+                want = kernel._pack(n, subsets[start : start + block])
+                np.testing.assert_array_equal(next(blocks), want)
+        assert next(blocks, None) is None
+
 
 @pytest.mark.parametrize("block", BLOCK_SIZES)
 @settings(max_examples=40, deadline=None)
@@ -301,11 +335,17 @@ def test_brute_force_and_closure_agree_with_naive_oracles(block, s, rng):
         assert cl == frozenset(closure_naive(s, sub))
 
 
-@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize(
+    "block, pair_bytes",
+    [pytest.param(b, PAIR_BYTES[0], id=str(b)) for b in BLOCK_SIZES]
+    + [pytest.param(64, PAIR_BYTES[1], id=f"64-pair_bytes_{PAIR_BYTES[1]}")],
+)
 @settings(max_examples=25, deadline=None)
 @given(random_systems)
-def test_kernel_expander_agrees_with_naive_oracle(block, s):
-    with patch.object(kernel, "_BLOCK", block):
+def test_kernel_expander_agrees_with_naive_oracle(block, pair_bytes, s):
+    with patch.object(kernel, "_BLOCK", block), patch.object(
+        kernel, "_PAIR_BYTES", pair_bytes
+    ):
         rep = expander_deficiency(s)
     want = expander_naive(s)
     assert rep.min_deficiency == want["min_deficiency"]
@@ -340,17 +380,40 @@ def test_strong_connectivity_stops_at_closed_4set(block):
     assert close_batch.call_count == 1
 
 
+def traced_peak(call):
+    """The result of call() and the peak of traced memory while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_kernel_memory_is_bounded_by_triple_count():
     # 4,992 triples: a full 2^14-seed block would hold two pair-indexed
     # temporaries of about 29 MiB each; smaller blocks cap each at 8 MiB
     s = spreading_6p3(31)
-    tracemalloc.start()
-    try:
-        rep = expander_deficiency(s, max_size=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(lambda: expander_deficiency(s, max_size=2))
     assert rep.per_size_min_neighbourhood == {1: 0, 2: 0}
     assert peak < 24 * 2**20
     # systems up to 288 triples keep full blocks
     assert kernel._block_size(spreading_6p3(7)) == kernel._BLOCK
+
+
+def test_kernel_memory_is_bounded_by_vertex_count():
+    # 2^14 seeds on 20,000 vertices would be a 328 MB byte matrix; blocks of
+    # 384 seeds keep any n-row byte matrix within _PAIR_BYTES
+    s = build_system(20000)
+    assert kernel._block_size(s) == 384
+    rep, peak = traced_peak(lambda: expander_deficiency(s, max_size=1))
+    assert rep.per_size_min_neighbourhood == {1: 0}
+    assert (rep.min_deficiency, rep.worst_set) == (2, frozenset({0}))
+    assert peak < 32 * 2**20
+
+
+def test_expander_never_builds_a_table_beyond_pair_bytes():
+    # the size-2 table on 600 vertices would take 12.9 MiB
+    rep, peak = traced_peak(lambda: expander_deficiency(build_system(600), max_size=2))
+    assert rep.per_size_min_neighbourhood == {1: 0, 2: 0}
+    assert peak < kernel._PAIR_BYTES
