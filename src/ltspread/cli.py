@@ -21,7 +21,7 @@ import json
 import sys
 import time
 from bisect import bisect_left
-from typing import Any
+from typing import Any, Callable
 
 from . import bounds as bounds_mod
 from .closure import (
@@ -172,27 +172,50 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     return out
 
 
+# Each entry looks its library function up when called, so a caller that
+# rebinds the module-level names (a tracer, a test double) is seen.
+_FAMILIES: dict[str, Callable[[argparse.Namespace], TripleSystem]] = {
+    "bose-skolem": lambda args: bose_skolem(args.p),
+    "spreading-6p3": lambda args: spreading_6p3(args.p),
+    # crowning decorates the spreading construction of the same parameter
+    "crowning": lambda args: crowning(
+        spreading_6p3(args.p),
+        None if args.keep is None else _parse_int_list(args.keep, "--keep"),
+    ),
+    "cayley-latin": lambda args: cayley_latin(args.p),
+    "star-expansion": lambda args: star_expansion(args.p),
+}
+
+
+def _steiner(system: TripleSystem) -> PropertyVerdict:
+    pair = system._first_uncovered()
+    witness = None if pair is None else frozenset(pair)
+    return PropertyVerdict(pair is None, witness, len(system.pair_codes))
+
+
+_PROPERTIES: dict[str, Callable[[TripleSystem, str], PropertyVerdict]] = {
+    "linear": lambda system, mode: PropertyVerdict(True, None, len(system.triples)),
+    "steiner": lambda system, mode: _steiner(system),
+    "spreading": lambda system, mode: is_spreading(system, mode.replace("-", "_")),
+    "weakly-spreading": lambda system, mode: is_weakly_spreading(system),
+    "strong-connectivity": lambda system, mode: is_strongly_connected(system),
+}
+
+
+def _given(args: argparse.Namespace, *names: str) -> dict[str, Any]:
+    """The named options the caller set, so the library keeps its defaults."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     family = args.family
-    if family == "bose-skolem":
-        system = bose_skolem(args.p)
-        if not _is_prime(args.p):
-            print(
-                f"advisory: modulus {args.p} is composite; the system is "
-                "Steiner but the expansion guarantee assumes a prime",
-                file=sys.stderr,
-            )
-    elif family == "spreading-6p3":
-        system = spreading_6p3(args.p)
-    elif family == "crowning":
-        # crowning decorates the spreading construction of the same parameter
-        base = spreading_6p3(args.p)
-        keep = _parse_int_list(args.keep, "--keep") if args.keep is not None else None
-        system = crowning(base, keep)
-    elif family == "cayley-latin":
-        system = cayley_latin(args.p)
-    else:  # star-expansion
-        system = star_expansion(args.p)
+    system = _FAMILIES[family](args)
+    if family == "bose-skolem" and not _is_prime(args.p):
+        print(
+            f"advisory: modulus {args.p} is composite; the system is "
+            "Steiner but the expansion guarantee assumes a prime",
+            file=sys.stderr,
+        )
     text = serialize_system(system)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -206,23 +229,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     system = _load(args.input)
-    prop = args.property
-    if prop == "linear":
-        verdict = PropertyVerdict(True, None, len(system.triples))
-    elif prop == "steiner":
-        holds = system.is_steiner()
-        witness = None if holds else frozenset(system.uncovered_edges()[0])
-        verdict = PropertyVerdict(holds, witness, len(system.pair_codes))
-    elif prop == "spreading":
-        verdict = is_spreading(system, args.mode.replace("-", "_"))
-    elif prop == "weakly-spreading":
-        verdict = is_weakly_spreading(system)
-    else:  # strong-connectivity
-        verdict = is_strongly_connected(system)
+    verdict = _PROPERTIES[args.property](system, args.mode)
     _emit(
         {
             "command": "check",
-            "property": prop,
+            "property": args.property,
             "system": _summary(system),
             "holds": verdict.holds,
             "witness": _witness_json(verdict),
@@ -249,7 +260,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 
 def _cmd_expander(args: argparse.Namespace) -> int:
     system = _load(args.input)
-    report = expander_deficiency(system, args.max_size, budget=args.budget)
+    report = expander_deficiency(system, args.max_size, **_given(args, "budget"))
     ratio = report.min_ratio
     _emit(
         {
@@ -271,12 +282,7 @@ def _cmd_expander(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     if not args.min_wsp:
         raise ParseError("search currently only supports --min-wsp")
-    kwargs: dict[str, Any] = {}
-    if args.start_at is not None:
-        kwargs["start_at"] = args.start_at
-    if args.budget is not None:
-        kwargs["budget"] = args.budget
-    result = min_weakly_spreading(args.n, **kwargs)
+    result = min_weakly_spreading(args.n, **_given(args, "start_at", "budget"))
     _emit(
         {
             "command": "search",
@@ -317,17 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("construct", help="generate a system and write .lts")
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=[
-            "bose-skolem",
-            "spreading-6p3",
-            "crowning",
-            "cayley-latin",
-            "star-expansion",
-        ],
-    )
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
     p.add_argument(
         "--p",
         type=int,
@@ -342,17 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="verify a property of a system file")
     p.add_argument("--input", required=True)
-    p.add_argument(
-        "--property",
-        required=True,
-        choices=[
-            "linear",
-            "steiner",
-            "spreading",
-            "weakly-spreading",
-            "strong-connectivity",
-        ],
-    )
+    p.add_argument("--property", required=True, choices=list(_PROPERTIES))
     p.add_argument("--mode", default="reduced", choices=["reduced", "brute-force"])
     p.set_defaults(func=_cmd_check)
 
@@ -364,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expander", help="neighbourhood-size statistics")
     p.add_argument("--input", required=True)
     p.add_argument("--max-size", type=int, default=None)
-    p.add_argument("--budget", type=int, default=10**8)
+    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=_cmd_expander)
 
     p = sub.add_parser("search", help="extremal search")
@@ -391,16 +377,10 @@ def run(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except _InvalidSystemFile as exc:
         print(f"error: invalid system: {exc}", file=sys.stderr)
         return 3
-    except LtsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LtsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -118,13 +118,14 @@ def _block_size(system: TripleSystem) -> int:
     return min(_BLOCK, max(64, fit // 64 * 64))
 
 
-def _combinations(n: int, k: int, block: int) -> Iterator[np.ndarray]:
-    """combinations(range(n), k) as blocks of up to block rows, unranked by
-    the combinatorial number system: the subset of lexicographic rank r is
-    {n - 1 - c_j}, where C(n, k) - 1 - r = sum_j C(c_j, k - j) greedily."""
+def _combinations(n: int, k: int, block: int, first: int = 0) -> Iterator[np.ndarray]:
+    """combinations(range(n), k) from lexicographic rank first on, as blocks
+    of up to block rows, unranked by the combinatorial number system: the
+    subset of rank r is {n - 1 - c_j}, where C(n, k) - 1 - r = sum_j
+    C(c_j, k - j) greedily."""
     table = [np.array([math.comb(c, k - j) for c in range(n)]) for j in range(k)]
     total = math.comb(n, k)
-    for start in range(0, total, block):
+    for start in range(first, total, block):
         left = total - 1 - np.arange(start, min(start + block, total))
         c = np.empty((len(left), k), dtype=np.intp)
         for j, t in enumerate(table):
@@ -308,18 +309,6 @@ def _subsets(
     return out
 
 
-def _unrank(n: int, k: int, rank: int) -> list[int]:
-    """The k-subset of range(n) of lexicographic rank rank."""
-    subset, a = [], 0
-    for j in range(k - 1, -1, -1):
-        while rank >= (skip := math.comb(n - 1 - a, j)):
-            rank -= skip
-            a += 1
-        subset.append(a)
-        a += 1
-    return subset
-
-
 def _triple_ranks(system: TripleSystem) -> np.ndarray:
     """Lexicographic ranks of the triples among the 3-subsets, ascending."""
     n = system.n
@@ -389,5 +378,5 @@ def expander_deficiency(
             if k >= 3 and counts.size:
                 ratios.append(Fraction(int(counts.min()), k))
     deficiency, k, rank = min(attainers)
-    ratio = min(ratios, default=None)
-    return ExpanderReport(deficiency, per_size, frozenset(_unrank(n, k, rank)), ratio)
+    worst = frozenset(next(_combinations(n, k, 1, rank))[0].tolist())
+    return ExpanderReport(deficiency, per_size, worst, min(ratios, default=None))

@@ -74,65 +74,38 @@ def spreading_6p3(p: int) -> TripleSystem:
     a_i -> i, a -> p, b_i -> p+1+i, b -> 2p+1, c_i -> 2p+2+i, c -> 3p+2,
     alpha_i -> 3p+3+i, beta_i -> 4p+3+i, gamma_i -> 5p+3+i.
 
-    Triple families (all indices mod p; i != j where stated):
-      black:  {a, a_j, beta_j}, {a_i, a_{2j-i}, beta_j}, and the rotations
-              (b with gamma, c with alpha);
-      brown:  {alpha_i, alpha_{2j-i}, b_j}, {beta_i, beta_{2j-i}, c_j},
-              {gamma_i, gamma_{2j-i}, a_j};
+    The rotation rho maps A -> B -> C -> A on the 3p+3 unprimed labels
+    (v -> v + p + 1 mod 3p + 3) and A' -> B' -> C' -> A' on the 3p primed
+    ones (alpha_i -> beta_i -> gamma_i -> alpha_i).  Triple families (all
+    indices mod p; i != j where stated), black, brown, red and blue given
+    for class A and taken again under rho and rho^2:
+      black:  {a, a_j, beta_j}, {a_i, a_{2j-i}, beta_j};
+      brown:  {alpha_i, alpha_{2j-i}, b_j};
+      red:    {a, alpha_j, b_j};
+      blue:   {a, gamma_j, c_j};
       orange: {a_i, b_j, c_{i+j}}, {alpha_i, beta_j, gamma_{i+j+1}},
-              and {a, b, c};
-      red:    {a, alpha_j, b_j}, {b, beta_j, c_j}, {c, gamma_j, a_j};
-      blue:   {a, gamma_j, c_j}, {b, alpha_j, a_j}, {c, beta_j, b_j}.
+              and {a, b, c}, which are not rho-invariant.
 
     Total count is 5p^2 + 6p + 1.
     """
     p = _require_odd_prime(p, "spreading_6p3")
-
-    def a(i: int) -> int:
-        return i % p
-
-    def b(i: int) -> int:
-        return p + 1 + i % p
-
-    def c(i: int) -> int:
-        return 2 * p + 2 + i % p
-
-    def alpha(i: int) -> int:
-        return 3 * p + 3 + i % p
-
-    def beta(i: int) -> int:
-        return 4 * p + 3 + i % p
-
-    def gamma(i: int) -> int:
-        return 5 * p + 3 + i % p
-
-    hub_a, hub_b, hub_c = p, 2 * p + 1, 3 * p + 2
-
-    triples: list[tuple[int, int, int]] = []
+    b, c, alpha, beta, gamma = p + 1, 2 * p + 2, 3 * p + 3, 4 * p + 3, 5 * p + 3
+    triples: list[Triple] = []
     for j in range(p):
-        triples.append((hub_a, a(j), beta(j)))
-        triples.append((hub_b, b(j), gamma(j)))
-        triples.append((hub_c, c(j), alpha(j)))
+        triples += [(p, j, beta + j), (p, alpha + j, b + j), (p, gamma + j, c + j)]
         for i in range(p):
             if i != j:
-                triples.append((a(i), a(2 * j - i), beta(j)))
-                triples.append((b(i), b(2 * j - i), gamma(j)))
-                triples.append((c(i), c(2 * j - i), alpha(j)))
-                triples.append((alpha(i), alpha(2 * j - i), b(j)))
-                triples.append((beta(i), beta(2 * j - i), c(j)))
-                triples.append((gamma(i), gamma(2 * j - i), a(j)))
+                k = (2 * j - i) % p
+                triples += [(i, k, beta + j), (alpha + i, alpha + k, b + j)]
+    rho = [(v + p + 1) % alpha for v in range(alpha)]
+    rho += [alpha + (v + p) % (3 * p) for v in range(3 * p)]
+    once = [(rho[x], rho[y], rho[z]) for x, y, z in triples]
+    triples += once + [(rho[x], rho[y], rho[z]) for x, y, z in once]
     for i in range(p):
         for j in range(p):
-            triples.append((a(i), b(j), c(i + j)))
-            triples.append((alpha(i), beta(j), gamma(i + j + 1)))
-    triples.append((hub_a, hub_b, hub_c))
-    for j in range(p):
-        triples.append((hub_a, alpha(j), b(j)))
-        triples.append((hub_b, beta(j), c(j)))
-        triples.append((hub_c, gamma(j), a(j)))
-        triples.append((hub_a, gamma(j), c(j)))
-        triples.append((hub_b, alpha(j), a(j)))
-        triples.append((hub_c, beta(j), b(j)))
+            triples.append((i, b + j, c + (i + j) % p))
+            triples.append((alpha + i, beta + j, gamma + (i + j + 1) % p))
+    triples.append((p, 2 * p + 1, 3 * p + 2))
     return build_system(6 * p + 3, triples)
 
 

@@ -60,7 +60,9 @@ class TripleSystem:
             bound = "non-negative" if n < 0 else f"at most {_MAX_ORDER}"
             raise VertexOutOfRange(f"vertex count must be {bound}, got {n}")
         self.n = n
-        self.triples = tri = tuple(sorted({_normalize_triple(t) for t in triples}))
+        # dict keeps input order, so triples that arrive sorted sort in O(m)
+        tri = tuple(sorted(dict.fromkeys(map(_normalize_triple, triples))))
+        self.triples = tri
         try:
             t = np.array(tri, dtype=np.intp).reshape(-1, 3)
         except OverflowError:  # such a vertex is out of range; clipping keeps it so
@@ -133,6 +135,21 @@ class TripleSystem:
     def is_steiner(self) -> bool:
         """True when every pair of vertices is covered by a triple."""
         return len(self.pair_codes) == self.n * (self.n - 1) // 2
+
+    def _first_uncovered(self) -> Pair | None:
+        """The lexicographically first uncovered pair, or None, in O(m): code
+        x*n + y is the pair of lex rank code - (x+1)(x+2)/2, so the sorted
+        codes count up from rank 0 to just before the first uncovered pair."""
+        if self.is_steiner():
+            return None
+        codes, n = self.pair_codes, self.n
+        x = codes // n
+        gaps = np.flatnonzero(codes - (x + 1) * (x + 2) // 2 != np.arange(len(codes)))
+        r = int(gaps[0]) if gaps.size else len(codes)  # its rank
+        if r == 0:
+            return (0, 1)
+        x, y = divmod(int(codes[r - 1]), n)
+        return (x, y + 1) if y + 1 < n else (x + 1, x + 2)
 
     def uncovered_edges(self) -> list[Pair]:
         """All pairs not covered by any triple, in lexicographic order."""

@@ -1,5 +1,5 @@
-"""Shared test utilities: random system generation and naive reference
-implementations.
+"""Shared test utilities: random system generation, naive reference
+implementations and a traced-memory probe.
 
 The naive functions deliberately avoid the pair index TripleSystem builds
 and every package-side shortcut: they scan the triple list directly, or
@@ -10,6 +10,7 @@ which the optimized operators are compared.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, count
 
@@ -53,6 +54,16 @@ random_systems = st.one_of(
     ),
     st.builds(build_system, st.integers(3, 9)),  # no triples at all
 )
+
+
+def traced_peak(call):
+    """The result of call() and the peak of traced memory while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def first_defect_naive(n: int, triples) -> Exception | None:

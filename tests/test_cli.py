@@ -1,7 +1,11 @@
 """File format and command-line behaviour."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -13,15 +17,17 @@ from ltspread import (
     ParseError,
     VertexOutOfRange,
     bose_skolem,
+    build_system,
     cayley_latin,
     crowning,
     spreading_6p3,
     star_expansion,
 )
 from ltspread import bounds as bounds_mod
+from ltspread import cli
 from ltspread.cli import parse_system, run, serialize_system
 
-from helpers import random_linear_system
+from helpers import random_linear_system, traced_peak
 
 
 def test_parse_minimal_file():
@@ -196,6 +202,28 @@ def test_check_steiner_and_strong_connectivity(tmp_path, capsys):
     assert code == 0
 
 
+def test_steiner_witness_memory_does_not_grow_with_the_pairs(tmp_path, capsys):
+    # listing the 1,124,250 uncovered pairs of 1,500 bare vertices took 161 MiB
+    path = write(tmp_path, "bare.lts", serialize_system(build_system(1500)))
+    code, peak = traced_peak(
+        lambda: run(["check", "--input", path, "--property", "steiner"])
+    )
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["witness"] == {"vertices": [0, 1]}
+    assert peak < 8 * 2**20
+
+
+def test_tables_look_the_library_up_when_called(tmp_path):
+    # a table holding the functions themselves would bypass both wrappers
+    path = write(tmp_path, "sts9.lts", serialize_system(bose_skolem(3)))
+    with patch.object(cli, "bose_skolem", wraps=cli.bose_skolem) as construct:
+        assert run(["construct", "--family", "bose-skolem", "--p", "3"]) == 0
+    assert construct.call_count == 1
+    with patch.object(cli, "is_spreading", wraps=cli.is_spreading) as check:
+        assert run(["check", "--input", path, "--property", "spreading"]) == 0
+    assert check.call_count == 1
+
+
 def test_malformed_file_exits_2(tmp_path, capsys):
     path = write(tmp_path, "bad.lts", "lts 9\n1 0\n")
     code, _, err = run_cli(capsys, "check", "--input", path, "--property", "linear")
@@ -357,3 +385,86 @@ def test_help_exits_0(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
     assert "construct" in out
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+FIXTURE = str(Path(__file__).resolve().parent / "data" / "%s.lts")
+BOSE_SKOLEM_5 = ["construct", "--family", "bose-skolem", "--p", "5"]
+STDIN = ["--input", "/dev/stdin"]
+LINEAR = ["--property", "linear"]
+
+
+def lts_process(argv, feed=None):
+    """lts run as its own process on the package in src, feed on stdin."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ltspread.cli", *argv],
+        input=feed,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+@pytest.mark.parametrize(
+    "upstream,argv,code",
+    [
+        pytest.param(
+            ["construct", "--family", "bose-skolem", "--p", "7"],
+            ["check", *STDIN, "--property", "spreading"],
+            0,
+            id="spreading",
+        ),
+        pytest.param(
+            BOSE_SKOLEM_5,
+            ["check", *STDIN, "--property", "spreading", "--mode", "brute-force"],
+            0,
+            id="brute-force",
+        ),
+        pytest.param(
+            BOSE_SKOLEM_5, ["closure", *STDIN, "--set", "0,1"], 0, id="closure"
+        ),
+        pytest.param(BOSE_SKOLEM_5, ["expander", *STDIN], 0, id="expander"),
+        pytest.param(
+            BOSE_SKOLEM_5,
+            ["expander", *STDIN, "--max-size", "7", "--budget", "100"],
+            2,
+            id="expander-budget",
+        ),
+        pytest.param(
+            ["construct", "--family", "spreading-6p3", "--p", "31"],
+            ["check", *STDIN, *LINEAR],
+            0,
+            id="linear-n195",
+        ),
+        pytest.param(
+            None,
+            ["check", "--input", FIXTURE % "duplicate_pair", *LINEAR],
+            3,
+            id="duplicate-pair",
+        ),
+        pytest.param(
+            None,
+            ["check", "--input", FIXTURE % "vertex_out_of_range", *LINEAR],
+            3,
+            id="vertex-out-of-range",
+        ),
+        pytest.param(
+            "lts 1\n1500 0\n",
+            ["check", *STDIN, "--property", "steiner"],
+            1,
+            id="steiner-n1500",
+        ),
+    ],
+)
+def test_lts_processes(upstream, argv, code):
+    """Pipelines of lts processes: upstream is a command whose stdout is
+    piped into argv, or the text fed to it, or None."""
+    if isinstance(upstream, list):
+        made = lts_process(upstream)
+        assert made.returncode == 0, made.stderr
+        upstream = made.stdout
+    done = lts_process(argv, upstream)
+    assert done.returncode == code, done.stderr
+    if code < 2:
+        json.loads(done.stdout)

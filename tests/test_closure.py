@@ -3,7 +3,6 @@ naive scan-the-triples implementations in helpers."""
 
 import importlib
 import random
-import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -41,6 +40,7 @@ from helpers import (
     random_systems,
     spreading_naive,
     strongly_connected_naive,
+    traced_peak,
     weakly_spreading_naive,
 )
 
@@ -378,16 +378,6 @@ def test_strong_connectivity_stops_at_closed_4set(block):
     assert v.witness == frozenset({0, 1, 2, 3})
     assert v.checked_count == comb(21, 4) == 5985
     assert close_batch.call_count == 1
-
-
-def traced_peak(call):
-    """The result of call() and the peak of traced memory while it ran."""
-    tracemalloc.start()
-    try:
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_kernel_memory_is_bounded_by_triple_count():

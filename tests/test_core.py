@@ -261,6 +261,24 @@ def test_lookups_agree_with_naive_scans(s, seed):
         assert neighbourhood(s, subset) == neighbourhood_naive(s, subset)
 
 
+def bose_skolem_without(q, i):
+    """bose_skolem(q) less its triple i: Steiner again when i is past the end."""
+    triples = bose_skolem(q).triples
+    return build_system(3 * q, triples[:i] + triples[i + 1 :])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        lookup_systems,
+        st.builds(bose_skolem_without, st.sampled_from([3, 5, 7]), st.integers(0, 80)),
+    )
+)
+def test_first_uncovered_pair_is_the_first_uncovered_edge(s):
+    edges = s.uncovered_edges()
+    assert s._first_uncovered() == (edges[0] if edges else None)
+
+
 def test_index_is_compact():
     # The pair index is arrays of intp: about 120 bytes per triple on a
     # 64-bit build.  A dict keyed by pair tuples needs over 250.
