@@ -81,34 +81,24 @@ def tau_objective(z: float) -> float:
 
 
 def tau(tolerance: float = 1e-8) -> tuple[float, float]:
-    """Maximize tau_objective over [1/2, 1] to the given bracket width.
+    """Maximize tau_objective = N/D over [1/2, 1] to the given bracket width.
 
-    A 1000-point grid scan locates the hump (it is the unique interior
-    extremum on this interval), then golden-section search narrows the
-    bracket.  Returns (argmax_z, maximum).
+    Its slope has the sign of N'D - ND' = 8z^4 - 24z^3 + 36z^2 - 30z + 9,
+    positive at 1/2, negative at 1, with a single root between: the argmax.
+    Bisection on that sign stops when the bracket is at most tolerance wide
+    or its midpoint stops moving, so tolerances below the float spacing
+    give adjacent floats.  Returns (argmax_z, maximum).
     """
-    if tolerance <= 0:
+    if not tolerance > 0:
         raise OutOfRange(f"tolerance must be positive, got {tolerance}")
     lo, hi = 0.5, 1.0
-    steps = 1000
-    grid = [lo + (hi - lo) * i / steps for i in range(steps + 1)]
-    best = max(range(steps + 1), key=lambda i: tau_objective(grid[i]))
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, steps)]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = tau_objective(c), tau_objective(d)
-    while b - a > tolerance:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = tau_objective(c)
+    z = 0.75
+    while hi - lo > tolerance and lo < z < hi:
+        if (((8.0 * z - 24.0) * z + 36.0) * z - 30.0) * z + 9.0 > 0.0:
+            lo = z
         else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = tau_objective(d)
-    z = 0.5 * (a + b)
+            hi = z
+        z = 0.5 * (lo + hi)
     return z, tau_objective(z)
 
 

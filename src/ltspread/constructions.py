@@ -144,24 +144,30 @@ def cayley_latin(p: int) -> TripleSystem:
     subsquares, which is what the weak-spreading property rests on.
     """
     p = _require_odd_prime(p, "cayley_latin")
-    triples = [(i, p + j, 2 * p + (i + j) % p) for i in range(p) for j in range(p)]
-    return build_system(3 * p, triples)
+    return from_latin_square([[(i + j) % p for j in range(p)] for i in range(p)])
 
 
 def from_latin_square(square: Sequence[Sequence[int]]) -> TripleSystem:
     """Triple system induced by an arbitrary Latin square.
 
-    square[i][j] is the symbol (0-based) in row i, column j.  Uses the same
-    layout as cayley_latin.  Validation only checks linearity via
-    build_system; weak spreading should be checked, not assumed, since the
-    square may contain subsquares.
+    square[i][j] is the symbol (0-based) in row i, column j: the triple
+    {i, k+j, 2k+square[i][j]} for a square of order k, the layout of
+    cayley_latin.  A row whose length is not k, or a symbol outside
+    [0, k), raises OutOfRange naming the row (and column).  Linearity is
+    checked by build_system; weak spreading should be checked, not
+    assumed, since the square may contain subsquares.
     """
     k = len(square)
-    triples = [
-        (i, k + j, 2 * k + operator.index(square[i][j]))
-        for i in range(k)
-        for j in range(k)
-    ]
+    triples: list[Triple] = []
+    for i, row in enumerate(square):
+        if len(row) != k:
+            raise OutOfRange(f"row {i} has {len(row)} entries, expected {k}")
+        for j, symbol in enumerate(map(operator.index, row)):
+            if not 0 <= symbol < k:
+                raise OutOfRange(
+                    f"symbol {symbol} at row {i}, column {j} outside [0, {k})"
+                )
+            triples.append((i, k + j, 2 * k + symbol))
     return build_system(3 * k, triples)
 
 

@@ -5,10 +5,11 @@ The search enumerates candidate systems in a normalized form: the first
 triple is {0,1,2}, the second shares exactly one vertex with it, every
 later triple meets the union of the earlier ones in at least two vertices,
 and fresh vertices always take the smallest unused labels.  Every weakly
-spreading system admits such an ordering of its triples (see
-ordering_witness), so up to relabeling the enumeration covers them all;
-within it, a system of m triples spans at most m+3 vertices, which is what
-makes small minima exhaustively checkable.
+spreading system admits such an ordering of its triples, and one led by
+intersecting T1, T2 exists exactly when the closure of T1 | T2 holds the
+whole span (see ordering_witness), so up to relabeling the enumeration
+covers them all; within it, a system of m triples spans at most m+3
+vertices, which is what makes small minima exhaustively checkable.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations, count
 from typing import Iterable, Iterator
 
-from .closure import is_weakly_spreading
+from .closure import closure, is_weakly_spreading
 from .core import Triple, TripleSystem, build_system
 from .errors import BudgetExceeded, OutOfRange
 
@@ -114,16 +115,17 @@ def min_weakly_spreading(
     of their placements, so the first passing one is the lexicographically
     least and is reported as the witness; levels with no passing candidate
     are enumerated completely.  Pass start_at below the floor to have the
-    search refute the smaller counts itself instead of trusting the bound.
-    budget caps the placements explored over all levels.
+    search refute the smaller counts itself instead of trusting the bound;
+    one above it raises OutOfRange, as the scan would skip counts that may
+    pass.  budget caps the placements explored over all levels.
     """
     n = operator.index(n)
     if not 5 <= n <= 12:
         raise OutOfRange(f"search supports 5 <= n <= 12, got n={n}")
     floor = n - 3
     first = floor if start_at is None else operator.index(start_at)
-    if first < 1:
-        raise OutOfRange(f"start_at must be at least 1, got {first}")
+    if not 1 <= first <= floor:
+        raise OutOfRange(f"start_at must lie in [1, {floor}], got {first}")
     counter = [0]
     for m in count(first):
         for cand in _level_candidates(n, m, counter, budget):
@@ -145,35 +147,29 @@ def ordering_witness(system: TripleSystem) -> tuple[Triple, ...] | None:
     the first and every later one meets the union of its predecessors in at
     least two vertices; None when no such ordering exists.
 
-    Tries triples in lexicographic order first and backtracks on dead ends,
-    so the result is deterministic.  Systems with at most one triple return
-    their trivial ordering.
+    One led by T1, T2 exists exactly when closure(T1 | T2) contains the
+    span: a triple that meets the covered set in two vertices still does
+    once the set grows, so greedy placement never dead-ends, and it stops
+    only at a closed set.  So the first intersecting pair, in lexicographic
+    order, that passes this test leads, and each later place takes the
+    first remaining triple, in lexicographic order, that meets the covered
+    set in two vertices: at most C(m, 2) closure calls.  Systems with at
+    most one triple return their trivial ordering.
     """
     tris = system.triples
-    m = len(tris)
-    if m <= 1:
+    if len(tris) <= 1:
         return tris
-    sets = [frozenset(t) for t in tris]
-    order: list[int] = []
-    used = [False] * m
-
-    def extend(covered: frozenset[int]) -> bool:
-        depth = len(order)
-        if depth == m:
-            return True
-        need = 1 if depth == 1 else 2
-        for i in range(m):
-            if used[i]:
-                continue
-            if depth == 0 or len(sets[i] & covered) >= need:
-                used[i] = True
-                order.append(i)
-                if extend(covered | sets[i]):
-                    return True
-                used[i] = False
-                order.pop()
-        return False
-
-    if extend(frozenset()):
-        return tuple(tris[i] for i in order)
-    return None
+    span = system.span()
+    for t1, t2 in combinations(tris, 2):
+        if set(t1) & set(t2) and closure(system, t1 + t2) >= span:
+            break
+    else:
+        return None
+    order, covered = [t1, t2], set(t1 + t2)
+    rest = [t for t in tris if t not in order]
+    while rest:
+        t = next(t for t in rest if len(covered.intersection(t)) >= 2)
+        rest.remove(t)
+        order.append(t)
+        covered.update(t)
+    return tuple(order)

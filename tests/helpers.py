@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, count, permutations
 
 from hypothesis import strategies as st
 
@@ -195,6 +195,30 @@ def is_valid_ordering(sequence) -> bool:
             return False
         covered.update(t)
     return True
+
+
+def ordering_naive(system: TripleSystem):
+    """The lexicographically least index permutation of the triples whose
+    ordering passes is_valid_ordering, as a tuple of triples, or None when
+    no permutation does: every permutation is tried in order."""
+    tris = system.triples
+    for perm in permutations(range(len(tris))):
+        ordering = tuple(tris[i] for i in perm)
+        if is_valid_ordering(ordering):
+            return ordering
+    return None
+
+
+def tau_slope_naive(z: Fraction) -> Fraction:
+    """N'D - ND' at z in exact rationals, by the product rule from
+    N = z(1-z)(3-2z) and D = 4z^2 - 6z + 3: its sign is the sign of the
+    slope of tau_objective = N/D."""
+    a, b, c = z, 1 - z, 3 - 2 * z  # N = abc; a' = 1, b' = -1, c' = -2
+    n = a * b * c
+    n_slope = b * c - a * c - 2 * a * b
+    d = 4 * z * z - 6 * z + 3
+    d_slope = 8 * z - 6
+    return n_slope * d - n * d_slope
 
 
 def min_weakly_spreading_naive(n: int):

@@ -1,7 +1,12 @@
 """Sumsets and the numeric constants."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +22,8 @@ from ltspread import (
     tau,
     tau_objective,
 )
+
+from helpers import tau_slope_naive
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
@@ -90,6 +97,50 @@ def test_tau_respects_tolerance_argument():
     assert abs(t_loose - t_tight) < 1e-6
     with pytest.raises(OutOfRange):
         tau(tolerance=0.0)
+
+
+def _exact_argmax() -> Fraction:
+    """The root of the exact slope numerator on [1/2, 1], to 2^-200."""
+    lo, hi = Fraction(1, 2), Fraction(1)
+    assert tau_slope_naive(lo) > 0 > tau_slope_naive(hi)
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if tau_slope_naive(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("exponent", range(3, 16))
+def test_tau_brackets_the_exact_root(exponent):
+    tolerance = 10.0**-exponent
+    z, t = tau(tolerance)
+    assert tau_slope_naive(Fraction(z) - Fraction(tolerance)) > 0
+    assert tau_slope_naive(Fraction(z) + Fraction(tolerance)) < 0
+    assert t == tau_objective(z)
+
+
+def test_tau_below_float_spacing_returns_adjacent_floats():
+    # run apart with a timeout: a bracket that cannot shrink must not hang
+    code = "from ltspread import tau; print(repr(tau(1e-17)[0]), repr(tau(1e-300)[0]))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.returncode == 0, done.stderr
+    root = _exact_argmax()
+    for z in map(float, done.stdout.split()):
+        assert abs(Fraction(z) - root) <= 4 * Fraction(math.ulp(z))
+
+
+def test_tau_rejects_nan_tolerance():
+    with pytest.raises(OutOfRange):
+        tau(float("nan"))
 
 
 def test_lower_bound_constants_at_tau():

@@ -350,6 +350,15 @@ def test_search_subcommand(capsys):
     assert code == 2
 
 
+def test_search_start_above_floor_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "search", "--min-wsp", "--n", "7", "--start-at", "6"
+    )
+    assert code == 2
+    assert out == ""
+    assert "start_at" in err
+
+
 def test_bounds_subcommand(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--tau", "--constants", "--density", "3")
     assert code == 0

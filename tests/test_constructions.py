@@ -116,6 +116,20 @@ def test_from_latin_square_matches_cayley_on_prime_table():
     assert from_latin_square(square) == cayley_latin(3)
 
 
+@pytest.mark.parametrize(
+    "square,message",
+    [
+        ([[0, 1, 2], [1, 0]], "row 0 has 3 entries, expected 2"),
+        ([[0, 1], [1]], "row 1 has 1 entries, expected 2"),
+        ([[0, -1], [-1, 0]], r"symbol -1 at row 0, column 1 outside \[0, 2\)"),
+        ([[0, 1], [1, 2]], r"symbol 2 at row 1, column 1 outside \[0, 2\)"),
+    ],
+)
+def test_from_latin_square_rejects_bad_shape_and_symbols(square, message):
+    with pytest.raises(OutOfRange, match=message):
+        from_latin_square(square)
+
+
 def test_from_latin_square_with_subsquare_is_not_weakly_spreading():
     # the Z_4 Cayley table contains a 2x2 subsquare on rows/cols {0, 2}
     square = [[(i + j) % 4 for j in range(4)] for i in range(4)]

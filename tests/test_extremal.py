@@ -1,8 +1,11 @@
 """Extremal search and ordering certificates."""
 
 from itertools import combinations
+from math import comb
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
 
 from ltspread import (
     BudgetExceeded,
@@ -16,9 +19,15 @@ from ltspread import (
     ordering_witness,
     spreading_6p3,
 )
+from ltspread.closure import closure
 from ltspread.extremal import _level_candidates
 
-from helpers import is_valid_ordering, min_weakly_spreading_naive
+from helpers import (
+    is_valid_ordering,
+    min_weakly_spreading_naive,
+    ordering_naive,
+    random_systems,
+)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -115,6 +124,15 @@ def test_start_at_below_floor_finds_same_minimum():
     assert low.witness == default.witness
 
 
+def test_start_at_above_floor_is_refused():
+    # n=7 has minimum 4 = n - 3; starting at 6 would report 6
+    with pytest.raises(OutOfRange, match=r"\[1, 4\], got 6"):
+        min_weakly_spreading(7, start_at=6)
+    with pytest.raises(OutOfRange):
+        min_weakly_spreading(7, start_at=5)
+    assert min_weakly_spreading(7, start_at=4).minimum == 4
+
+
 def test_argument_validation():
     with pytest.raises(OutOfRange, match="5 <= n <= 12, got n=4"):
         min_weakly_spreading(4)
@@ -187,7 +205,7 @@ def test_ordering_witness_examples():
 
 def test_ordering_witness_needs_backtracking():
     # starting from (0,1,2) every continuation dead-ends; a valid ordering
-    # only exists with (0,3,4) first, so the greedy pass must backtrack
+    # only exists with (0,3,4) first, so every pair led by (0,1,2) must fail
     s = build_system(
         8, [(0, 1, 2), (0, 3, 4), (2, 5, 6), (3, 5, 7), (4, 6, 7)]
     )
@@ -202,3 +220,18 @@ def test_ordering_implies_span_bound():
     for n in (5, 6, 7, 8):
         w = min_weakly_spreading(n).witness
         assert len(w.triples) >= len(w.span()) - 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_systems.filter(lambda s: len(s.triples) <= 7))
+def test_ordering_witness_agrees_with_brute_force(system):
+    assert ordering_witness(system) == ordering_naive(system)
+
+
+def test_ordering_refuted_with_at_most_one_closure_per_pair():
+    # 12 triples on 9 vertices plus a disjoint one: no pair can reach the
+    # far triple, which a backtracking search would learn only exponentially
+    s = build_system(12, list(bose_skolem(3).triples) + [(9, 10, 11)])
+    with patch("ltspread.extremal.closure", wraps=closure) as spy:
+        assert ordering_witness(s) is None
+    assert 0 < spy.call_count <= comb(13, 2)
