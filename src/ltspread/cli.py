@@ -20,8 +20,9 @@ import argparse
 import json
 import sys
 import time
-from bisect import bisect_left
 from typing import Any, Callable
+
+import numpy as np
 
 from . import bounds as bounds_mod
 from .closure import (
@@ -41,7 +42,7 @@ from .constructions import (
     spreading_6p3,
     star_expansion,
 )
-from .core import TripleSystem, build_system
+from .core import TripleSystem, _ascending, build_system
 from .errors import (
     DuplicatePairCoverage,
     LtsError,
@@ -62,10 +63,61 @@ def serialize_system(system: TripleSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _plain_triples(rows: list[str]) -> np.ndarray | None:
+    """The triple lines as an (m, 3) int64 array, read and checked in bulk
+    on their bytes; None unless every line is plain (three runs of at most
+    18 ASCII digits split by spaces or tabs, which always fit in int64),
+    strictly increasing and above the line before."""
+    if not rows:
+        return np.empty((0, 3), dtype=np.int64)
+    # one byte per character: a non-ASCII one becomes "?", which is not plain
+    b = np.frombuffer("\n".join(rows).encode("ascii", "replace"), dtype=np.uint8)
+    digit = b - 48 < 10  # uint8: bytes below "0" wrap past 9
+    if not (digit | (b == 32) | (b == 9) | (b == 10)).all():
+        return None
+    # the lines are stripped, so each starts and ends with a digit
+    edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    starts, width = edges[::2], edges[1::2] - edges[::2]
+    if len(starts) != 3 * len(rows) or width.max() > 18:
+        return None
+    if (starts[3::3] != np.flatnonzero(b == 10) + 1).any():
+        return None  # a line without exactly three numbers
+    values = np.zeros(len(starts), dtype=np.int64)
+    for k in range(width.max()):
+        more = width > k
+        values[more] = values[more] * 10 + (b[starts[more] + k] - 48)
+    t = values.reshape(-1, 3)
+    if not (((t[:, 0] < t[:, 1]) & (t[:, 1] < t[:, 2])).all() and _ascending(t)):
+        return None
+    return t
+
+
+def _read_lines(body: list[tuple[int, str]]) -> list[tuple[int, int, int]]:
+    """The triple lines read and checked one at a time: this reads lines
+    that are not plain, and finds the first line that breaks the grammar."""
+    triples: list[tuple[int, int, int]] = []
+    previous: tuple[int, int, int] | None = None
+    for lineno, row in body:
+        parts = row.split()
+        if len(parts) != 3 or not all(p.removeprefix("-").isdecimal() for p in parts):
+            raise ParseError(f"triple line must be three integers, got {row!r}", lineno)
+        t = (int(parts[0]), int(parts[1]), int(parts[2]))
+        if not t[0] < t[1] < t[2]:
+            raise ParseError(f"triple {t} is not strictly increasing", lineno)
+        if previous is not None and t <= previous:
+            raise ParseError(f"triple {t} breaks lexicographic line order", lineno)
+        previous = t
+        triples.append(t)
+    return triples
+
+
 def parse_system(text: str) -> TripleSystem:
     """Parse the .lts format.
 
-    Every grammar violation raises ParseError with its line number.  Only
+    The triple lines are read and checked in bulk when all of them are
+    plain (see _plain_triples), otherwise one at a time.  Every grammar
+    violation raises ParseError with its line number; the first one in the
+    file is reported, whichever way the lines were read.  Only
     then is the system validated by build_system; its VertexOutOfRange and
     DuplicatePairCoverage are re-raised with the offending lines in the
     message.
@@ -95,23 +147,16 @@ def parse_system(text: str) -> TripleSystem:
             f"expected {m} triple lines, found {len(body)}",
             line=body[-1][0] if body else lineno,
         )
-    triples: list[tuple[int, int, int]] = []
-    previous: tuple[int, int, int] | None = None
-    for lineno, row in body:
-        parts = row.split()
-        if len(parts) != 3 or not all(p.removeprefix("-").isdecimal() for p in parts):
-            raise ParseError(f"triple line must be three integers, got {row!r}", lineno)
-        t = (int(parts[0]), int(parts[1]), int(parts[2]))
-        if not t[0] < t[1] < t[2]:
-            raise ParseError(f"triple {t} is not strictly increasing", lineno)
-        if previous is not None and t <= previous:
-            raise ParseError(f"triple {t} breaks lexicographic line order", lineno)
-        previous = t
-        triples.append(t)
+    triples = _plain_triples([row for _, row in body])
+    if triples is None:
+        triples = _read_lines(body)
 
     def line_of(t: tuple[int, int, int]) -> int:
-        # triples is sorted, and triples[i] came from body[i]
-        return body[bisect_left(triples, t)][0]
+        # the rows are distinct, and row i came from body[i]; object dtype
+        # compares vertices past int64 exactly
+        rows = np.asarray(triples, dtype=object)
+        hit = (rows == np.array(t, dtype=object)).all(axis=1)
+        return body[int(hit.argmax())][0]
 
     try:
         return build_system(n, triples)

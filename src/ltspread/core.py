@@ -37,6 +37,28 @@ def _normalize_triple(raw: Iterable[int]) -> Triple:
     return (x, y, z)
 
 
+def _ascending(t: np.ndarray) -> bool:
+    """True when the rows of t are in strictly increasing lexicographic order."""
+    a, b = t[:-1].T, t[1:].T
+    rise = (b[1] > a[1]) | ((b[1] == a[1]) & (b[2] > a[2]))
+    return bool(((b[0] > a[0]) | ((b[0] == a[0]) & rise)).all())
+
+
+def _normalize_array(raw: np.ndarray) -> tuple[np.ndarray, tuple[Triple, ...]]:
+    """_normalize_triple on each row of an (m, 3) integer array, then the
+    sort and dedupe, in bulk: the intp array and the triples as tuples.
+    Rows already in strictly increasing order, as a parsed file's are, are
+    not sorted again."""
+    t = np.sort(raw, axis=1).astype(np.intp, copy=False)
+    if (bad := np.flatnonzero((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]))).size:
+        entries = tuple(raw[bad[0]].tolist())
+        raise DegenerateTriple(f"repeated vertex in triple {entries!r}")
+    if not _ascending(t):
+        t = t[np.lexsort(t.T[::-1])]
+        t = t[np.r_[True, (t[1:] != t[:-1]).any(axis=1)]]
+    return t, tuple(zip(*t.T.tolist()))
+
+
 class TripleSystem:
     """A validated linear triple system, immutable after construction.
 
@@ -60,13 +82,20 @@ class TripleSystem:
             bound = "non-negative" if n < 0 else f"at most {_MAX_ORDER}"
             raise VertexOutOfRange(f"vertex count must be {bound}, got {n}")
         self.n = n
-        # dict keeps input order, so triples that arrive sorted sort in O(m)
-        tri = tuple(sorted(dict.fromkeys(map(_normalize_triple, triples))))
+        # Per triple, a Python loop beats numpy set-up on the few triples of a
+        # search candidate; an integer array is taken in bulk.  uint64 is
+        # not, as its values can pass intp.
+        bulk = isinstance(triples, np.ndarray) and triples.shape[1:] == (3,)
+        if bulk and triples.dtype.kind in "iu" and np.can_cast(triples.dtype, np.intp):
+            t, tri = _normalize_array(triples)
+        else:
+            # dict keeps input order, so triples that arrive sorted sort in O(m)
+            tri = tuple(sorted(dict.fromkeys(map(_normalize_triple, triples))))
+            try:
+                t = np.array(tri, dtype=np.intp).reshape(-1, 3)
+            except OverflowError:  # such a vertex is out of range; clipping keeps it so
+                t = np.array(tri, dtype=object).clip(-1, n).astype(np.intp)
         self.triples = tri
-        try:
-            t = np.array(tri, dtype=np.intp).reshape(-1, 3)
-        except OverflowError:  # such a vertex is out of range; clipping keeps it so
-            t = np.array(tri, dtype=object).clip(-1, n).astype(np.intp)
         # pair slot j of triple i is flat index 3i + j: pairs xy, xz, yz
         x, y, z = (t.take(c, axis=1).ravel() for c in ([0, 0, 1], [1, 2, 2], [2, 1, 0]))
         codes = x * n + y
@@ -181,10 +210,14 @@ def build_system(n: int, triples: Iterable[Iterable[int]] = ()) -> TripleSystem:
 
     Triples may arrive in any entry order and with duplicates; they are
     sorted and deduplicated, then checked in lexicographic order, so the
-    error names the lexicographically first defect.  Raises DegenerateTriple
-    for a triple without three distinct entries, VertexOutOfRange (``.triple``
-    is the offending triple; None when n itself is out of range) and
-    DuplicatePairCoverage (``.pair``, and ``.triples``: the earlier and the
-    later triple covering it).
+    error names the lexicographically first defect.  An (m, 3) integer
+    ndarray (other than uint64) is taken in bulk, with no Python work per
+    triple, and rows already in strictly increasing order are not sorted
+    again; any other iterable is normalised one triple at a time, which is
+    cheaper for a few triples.  Raises DegenerateTriple for the first
+    triple, in input order, without three distinct entries,
+    VertexOutOfRange (``.triple`` is the offending triple; None when n
+    itself is out of range) and DuplicatePairCoverage (``.pair``, and
+    ``.triples``: the earlier and the later triple covering it).
     """
     return TripleSystem(n, triples)

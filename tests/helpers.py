@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, count, permutations
 
 from hypothesis import strategies as st
 
 from ltspread import (
+    DegenerateTriple,
     DuplicatePairCoverage,
+    ParseError,
     TripleSystem,
     VertexOutOfRange,
     build_system,
@@ -68,12 +71,16 @@ def traced_peak(call):
 
 def first_defect_naive(n: int, triples) -> Exception | None:
     """The error build_system(n, triples) raises, or None when it raises
-    none, for n >= 0 and triples of three distinct integers each.
+    none, for n >= 0 and triples of three integers each.
 
-    One pass over the sorted, deduplicated triples with a pair -> third
-    vertex dictionary: the first triple with a vertex outside [0, n) or a
-    pair already covered by an earlier triple is the defect.
+    The first triple in input order with a repeated vertex is the defect.
+    Failing that, one pass over the sorted, deduplicated triples with a
+    pair -> third vertex dictionary: the first triple with a vertex outside
+    [0, n) or a pair already covered by an earlier triple is the defect.
     """
+    for t in triples:
+        if len(set(t)) < 3:
+            return DegenerateTriple(f"repeated vertex in triple {tuple(t)!r}")
     table: dict[tuple[int, int], int] = {}
     for t in sorted({tuple(sorted(t)) for t in triples}):
         x, y, z = t
@@ -86,6 +93,70 @@ def first_defect_naive(n: int, triples) -> Exception | None:
                 return DuplicatePairCoverage(pair, (earlier, t))
             table[pair] = third
     return None
+
+
+def parse_naive(text: str) -> TripleSystem:
+    """The .lts parser read one line at a time: each triple line is split,
+    checked and converted to a tuple in turn, and build_system gets the
+    list of tuples.  The same grammar, messages and line numbers as
+    ltspread.cli.parse_system."""
+    rows: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            rows.append((lineno, stripped))
+    if not rows:
+        raise ParseError("empty input: missing header", line=1)
+    lineno, header = rows[0]
+    if header != "lts 1":
+        raise ParseError(f"unsupported header {header!r}, expected 'lts 1'", lineno)
+    if len(rows) < 2:
+        raise ParseError("missing counts line", line=lineno)
+    lineno, counts = rows[1]
+    parts = counts.split()
+    if len(parts) != 2 or not all(p.removeprefix("-").isdecimal() for p in parts):
+        raise ParseError(f"counts line must be two integers, got {counts!r}", lineno)
+    n, m = int(parts[0]), int(parts[1])
+    if n < 0 or m < 0:
+        raise ParseError(f"counts must be non-negative, got {counts!r}", lineno)
+    body = rows[2:]
+    if len(body) != m:
+        raise ParseError(
+            f"expected {m} triple lines, found {len(body)}",
+            line=body[-1][0] if body else lineno,
+        )
+    triples: list[tuple[int, int, int]] = []
+    previous: tuple[int, int, int] | None = None
+    for lineno, row in body:
+        parts = row.split()
+        if len(parts) != 3 or not all(p.removeprefix("-").isdecimal() for p in parts):
+            raise ParseError(f"triple line must be three integers, got {row!r}", lineno)
+        t = (int(parts[0]), int(parts[1]), int(parts[2]))
+        if not t[0] < t[1] < t[2]:
+            raise ParseError(f"triple {t} is not strictly increasing", lineno)
+        if previous is not None and t <= previous:
+            raise ParseError(f"triple {t} breaks lexicographic line order", lineno)
+        previous = t
+        triples.append(t)
+
+    def line_of(t: tuple[int, int, int]) -> int:
+        # triples is sorted, and triples[i] came from body[i]
+        return body[bisect_left(triples, t)][0]
+
+    try:
+        return build_system(n, triples)
+    except VertexOutOfRange as exc:
+        if (t := exc.triple) is None:
+            raise  # the vertex count itself is out of range
+        message = f"line {line_of(t)}: vertex outside [0, {n}) in {t}"
+        raise VertexOutOfRange(message, t) from None
+    except DuplicatePairCoverage as exc:
+        earlier, later = exc.triples
+        message = (
+            f"line {line_of(later)}: pair {exc.pair} already covered on line "
+            f"{line_of(earlier)}"
+        )
+        raise DuplicatePairCoverage(exc.pair, exc.triples, message) from None
 
 
 def neighbourhood_naive(system: TripleSystem, subset) -> set[int]:

@@ -1,5 +1,6 @@
 """File format and command-line behaviour."""
 
+import bisect
 import json
 import os
 import random
@@ -9,12 +10,15 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from ltspread import (
     DuplicatePairCoverage,
+    LtsError,
     ParseError,
+    TripleSystem,
     VertexOutOfRange,
     bose_skolem,
     build_system,
@@ -27,7 +31,7 @@ from ltspread import bounds as bounds_mod
 from ltspread import cli
 from ltspread.cli import parse_system, run, serialize_system
 
-from helpers import random_linear_system, traced_peak
+from helpers import parse_naive, random_linear_system, traced_peak
 
 
 def test_parse_minimal_file():
@@ -130,6 +134,144 @@ def test_parse_reports_injected_defect_at_its_line(seed, n, kind):
         assert set(exc.value.triples) <= set(triples)
     else:
         assert exc.value.triple == defect
+
+
+PLAIN_KINDS = ["swap", "order", "repeat", "range", "pair"]
+PLAIN_KINDS += ["two", "four", "move", "zeros"]
+OTHER_KINDS = ["nbsp", "arabic", "minus", "plus", "underscore", "big"]
+BREAKS = ["\n", "\r\n", "\r", "\x0c", "\u2028"]
+ARABIC_INDIC = {ord("0") + d: 0x660 + d for d in range(10)}
+
+
+def lts_text(rng, n, plain, kinds):
+    """An .lts text of a random linear system with the given kinds of
+    change to its triple lines.  A plain text's triple lines stay plain
+    (ASCII digits split by spaces or tabs, at most 18 each); any other
+    text has at least one line that is not."""
+    triples = [list(t) for t in random_linear_system(rng, n).triples]
+    for kind in kinds:  # new lines in their sorted places
+        if kind in ("range", "pair"):
+            a, b = rng.sample(range(n), 2)
+            c = n + rng.randrange(3)
+            if kind == "pair":  # re-cover a pair of a line
+                a, b = rng.sample(rng.choice(triples), 2)
+                c = rng.choice([v for v in range(n) if v not in (a, b)])
+            bisect.insort(triples, sorted((a, b, c)))
+    rows = [[str(v) for v in t] for t in triples]
+    seps = [rng.choice([" ", "  ", "\t", " \t"]) for _ in rows]
+    if not plain:
+        kinds = kinds + [rng.choice(OTHER_KINDS)]
+    for kind in kinds:
+        if kind in ("range", "pair") or plain and kind in OTHER_KINDS:
+            continue
+        i = rng.randrange(len(rows))
+        row, j = rows[i], rng.randrange(len(rows[i]))
+        if kind == "swap" and len(row) > 1:
+            k = rng.randrange(len(row) - 1)
+            row[k], row[k + 1] = row[k + 1], row[k]
+        elif kind == "order" and i + 1 < len(rows):
+            rows[i], rows[i + 1] = rows[i + 1], rows[i]
+        elif kind == "repeat":
+            rows.insert(i, list(row))
+            seps.insert(i, seps[i])
+        elif kind == "two" and len(row) > 1:
+            del row[j]
+        elif kind == "four":
+            row.insert(j, str(rng.randrange(n)))
+        elif kind == "move" and i + 1 < len(rows):  # as many numbers in all
+            rows[i + 1].insert(0, row.pop())
+        elif kind == "zeros" and len(row[j]) < 18:
+            # up to 18 digits in all, the most a plain number has
+            row[j] = "0" * rng.randrange(1, 19 - len(row[j])) + row[j]
+        elif kind == "nbsp":
+            seps[i] = rng.choice(["\xa0", " \xa0"])
+        elif kind == "arabic":
+            row[j] = row[j].translate(ARABIC_INDIC)
+        elif kind in ("minus", "plus"):
+            row[j] = "-+"[kind == "plus"] + row[j]
+        elif kind == "underscore":
+            row[j] = row[j][:1] + "_" + row[j][1:]
+        elif kind == "big":
+            row[j] = str(rng.choice([2**63, 2**63 + 1, 10**20 - 1, 2**64 + n]))
+    lines = ["# made by lts_text", "lts 1", f" {n}\t{len(rows)} "]
+    for row, sep in zip(rows, seps):
+        if rng.random() < 0.2:
+            lines.append(rng.choice(["", "  ", "# comment", "\t# 1 2 3"]))
+        pad = rng.choice(["", " ", "\t"])
+        lines.append(pad + sep.join(row) + rng.choice(["", " "]))
+    breaks = [rng.choice(BREAKS) for _ in lines]
+    return "".join(line + br for line, br in zip(lines, breaks))
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except LtsError as exc:
+        return exc
+
+
+def assert_parsers_agree(text):
+    """parse_system gives parse_naive's system or error; returns that."""
+    expected, got = outcome(parse_naive, text), outcome(parse_system, text)
+    assert type(got) is type(expected)
+    if isinstance(expected, TripleSystem):
+        assert got == expected
+        assert np.array_equal(got.triple_array, expected.triple_array)
+        return expected
+    assert str(got) == str(expected)
+    for attr in ("line", "pair", "triple", "triples"):
+        assert getattr(got, attr, None) == getattr(expected, attr, None)
+    return expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 12),
+    st.booleans(),
+    st.lists(
+        # new lines that make the system invalid twice as likely
+        st.sampled_from(PLAIN_KINDS + OTHER_KINDS + ["range", "pair"]),
+        max_size=3,
+    ),
+)
+def test_parse_agrees_with_the_line_by_line_parser(seed, n, plain, kinds):
+    text = lts_text(random.Random(seed), n, plain, kinds)
+    with patch.object(cli, "_read_lines", wraps=cli._read_lines) as per_line:
+        expected = assert_parsers_agree(text)
+    # lines are read one at a time only when some line is not plain, or to
+    # find the line that breaks the grammar
+    assert per_line.called == (not plain or isinstance(expected, ParseError))
+    event("per line" if per_line.called else "bulk")
+    event(type(expected).__name__)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "lts 1\n20 2\n0 1 2\n5 8 9223372036854775809\n",
+        "lts 1\n9 1\n0 1 99999999999999999999\n",
+        "lts 1\n9 2\n0 1\n2 3 4 5\n",
+        "lts 1\n9 2\n0 1 2\n3 4 5\u2028",
+        "lts 1\n9 2\n0 1 2\n3 4 \u0665\n",
+        "lts 1\n9 2\n0\t1\t2\n3\xa04 5\n",
+        "lts 1\n9 2\n0 1 2\n+3 4 5\n",
+        "lts 1\n9 2\n0 1 2\n-3 4 5\n",
+        "lts 1\n9 2\n0 1 2\n3 4 000000000000000005\n",
+        "lts 1\n9 2\n0 1 2\n3 4 0000000000000000005\n",
+        "lts 1\n9 0\n",
+    ],
+)
+def test_parse_agrees_on_edge_texts(text):
+    assert_parsers_agree(text)
+
+
+def test_parse_memory():
+    # the parent of the bulk reader read 35.7 MiB; a whole-text regex 47.7
+    text = serialize_system(bose_skolem(201))
+    system, peak = traced_peak(lambda: parse_system(text))
+    assert system == bose_skolem(201)
+    assert peak <= 36 * 2**20
 
 
 def test_roundtrip_on_generated_systems():

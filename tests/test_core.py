@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,8 +167,14 @@ def test_random_systems_are_linear():
 
 
 def _inject(rng, kind, n, triples):
-    """A triple holding one defect of the given kind; entries distinct."""
+    """A triple holding one defect of the given kind, a repeat of an earlier
+    triple, or a triple with a repeated vertex."""
     outside = [-2, -1, n, n + 1]
+    if kind == "degenerate":
+        v = rng.randrange(-2, n + 2)
+        return (v, v, rng.randrange(-2, n + 2))
+    if kind == "repeat" and triples:
+        return rng.choice(triples)
     if kind.startswith("pair") and triples:
         # re-cover a pair of an earlier triple, at position xy, xz or yz of
         # the new triple, or with an out-of-range third vertex
@@ -195,31 +202,66 @@ def _inject(rng, kind, n, triples):
         # in-range re-covers twice as likely: range defects mostly come first
         st.sampled_from(
             ["pair-xy", "pair-xz", "pair-yz"] * 2
-            + ["pair-range", "negative", "vertex-n", "any"]
+            + ["pair-range", "negative", "vertex-n", "any", "repeat", "degenerate"]
         ),
-        min_size=1,
         max_size=4,
     ),
+    st.sampled_from([None, np.int64, np.int32, np.uint16]),
 )
-def test_build_system_reports_the_naive_first_defect(seed, n, kinds):
+def test_build_system_reports_the_naive_first_defect(seed, n, kinds, dtype):
+    """From a list of triples, or from an integer array of them taken in
+    bulk: the system built from the list, or the naive first defect."""
     rng = random.Random(seed)
     triples = list(random_linear_system(rng, n).triples)
     for kind in kinds:
         triples.append(_inject(rng, kind, n, triples))
     rng.shuffle(triples)
     triples = [rng.sample(t, 3) for t in triples]
+    given = triples
+    if dtype is not None:
+        if dtype is np.uint16:
+            triples = [t for t in triples if min(t) >= 0]
+        given = np.array(triples, dtype=dtype).reshape(-1, 3)
     expected = first_defect_naive(n, triples)
     if expected is None:
-        assert build_system(n, triples).triples == tuple(
-            sorted({tuple(sorted(t)) for t in triples})
-        )
+        s = build_system(n, given)
+        assert s.triples == tuple(sorted({tuple(sorted(t)) for t in triples}))
+        assert_same_index(s, build_system(n, [tuple(t) for t in triples]))
         return
     with pytest.raises(errors.ValidationError) as exc:
-        build_system(n, triples)
+        build_system(n, given)
     assert type(exc.value) is type(expected)
     assert str(exc.value) == str(expected)
     for attr in ("triple", "pair", "triples"):
         assert getattr(exc.value, attr, None) == getattr(expected, attr, None)
+
+
+def assert_same_index(s, other):
+    assert (s.n, s.triples) == (other.n, other.triples)
+    arrays = (s.triple_array, s.pair_codes, s.pair_thirds, *s.sweep_pairs)
+    others = (other.triple_array, other.pair_codes, other.pair_thirds)
+    for a, b in zip(arrays, others + other.sweep_pairs):
+        assert a.dtype == b.dtype and not a.flags.writeable
+        assert np.array_equal(a, b)
+
+
+def test_build_system_array_forms():
+    empty = build_system(4, np.empty((0, 3), dtype=np.int64))
+    assert_same_index(empty, build_system(4))
+    rows = np.array([[4, 3, 2], [0, 1, 2], [2, 1, 0]], dtype=np.int32)
+    s = build_system(5, rows)
+    assert_same_index(s, build_system(5, rows.tolist()))
+    # the caller's array is neither sorted in place nor frozen
+    assert rows.flags.writeable and rows[0].tolist() == [4, 3, 2]
+    # uint64 can pass intp, so it goes triple by triple, exactly
+    with pytest.raises(VertexOutOfRange) as exc:
+        build_system(5, np.array([[0, 1, 2**63 + 5]], dtype=np.uint64))
+    assert exc.value.triple == (0, 1, 2**63 + 5)
+    # other shapes and dtypes fail as their lists do
+    with pytest.raises(DegenerateTriple, match="expected three vertices"):
+        build_system(5, np.array([[0, 1], [2, 3]]))
+    with pytest.raises(TypeError):
+        build_system(5, np.array([[0.0, 1.0, 2.0]]))
 
 
 lookup_systems = st.one_of(
