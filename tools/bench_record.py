@@ -4,8 +4,7 @@
     python3 tools/bench_record.py --workload load_query --seed 920 --checkout DIR
 
 perfbench/run.py runs in the checkout (by default this repository) as it
-would by hand, for the run length BENCHMARK.json sets unless --seconds is
-given.  Its summary goes to stdout as usual.  Its final JSON line (correct,
+would by hand, for the run length the checkout's BENCHMARK.json sets.  Its summary goes to stdout as usual.  Its final JSON line (correct,
 attempted, failed, metrics) is appended to BENCH_<workload>.json at the root
 of this repository, with the run's arguments, the UTC start time and the
 machine facts the run printed (commit and source hash of the checkout, CPU,
@@ -45,16 +44,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=None)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--checkout", type=Path, default=REPO)
     args = parser.parse_args(argv)
-    if args.seconds is None:
-        bench = (args.checkout / "BENCHMARK.json").read_text(encoding="utf-8")
-        args.seconds = float(json.loads(bench)["run_seconds"])
+    bench = (args.checkout / "BENCHMARK.json").read_text(encoding="utf-8")
+    seconds = float(json.loads(bench)["run_seconds"])
     started = datetime.datetime.now(datetime.timezone.utc)
     command = [sys.executable, "perfbench/run.py", "--workload", args.workload]
-    command += ["--seed", str(args.seed), "--seconds", f"{args.seconds:g}"]
+    command += ["--seed", str(args.seed), "--seconds", f"{seconds:g}"]
     command += ["--trace", str(args.trace)]
     done = subprocess.run(command, cwd=args.checkout, capture_output=True, text=True)
     sys.stdout.write(done.stdout)
@@ -66,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
     entry = {
         "workload": args.workload,
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "trace": args.trace,
         "date": started.isoformat(timespec="seconds"),
         "machine": machine_facts(done.stdout),
