@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 import time
+from bisect import bisect_left
 from typing import Any, Callable
 
 import numpy as np
@@ -64,12 +65,9 @@ def serialize_system(system: TripleSystem) -> str:
 
 
 def _plain_triples(rows: list[str]) -> np.ndarray | None:
-    """The triple lines as an (m, 3) int64 array, read and checked in bulk
-    on their bytes; None unless every line is plain (three runs of at most
-    18 ASCII digits split by spaces or tabs, which always fit in int64),
-    strictly increasing and above the line before."""
-    if not rows:
-        return np.empty((0, 3), dtype=np.int64)
+    """The triple lines as an (m, 3) int64 array, read in bulk on their
+    bytes; None unless every line is plain: three runs of at most 18 ASCII
+    digits split by spaces or tabs, which always fit in int64."""
     # one byte per character: a non-ASCII one becomes "?", which is not plain
     b = np.frombuffer("\n".join(rows).encode("ascii", "replace"), dtype=np.uint8)
     digit = b - 48 < 10  # uint8: bytes below "0" wrap past 9
@@ -78,49 +76,40 @@ def _plain_triples(rows: list[str]) -> np.ndarray | None:
     # the lines are stripped, so each starts and ends with a digit
     edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
     starts, width = edges[::2], edges[1::2] - edges[::2]
-    if len(starts) != 3 * len(rows) or width.max() > 18:
+    if len(starts) != 3 * len(rows) or width.max(initial=0) > 18:
         return None
     if (starts[3::3] != np.flatnonzero(b == 10) + 1).any():
         return None  # a line without exactly three numbers
     values = np.zeros(len(starts), dtype=np.int64)
-    for k in range(width.max()):
+    for k in range(width.max(initial=0)):
         more = width > k
         values[more] = values[more] * 10 + (b[starts[more] + k] - 48)
-    t = values.reshape(-1, 3)
-    if not (((t[:, 0] < t[:, 1]) & (t[:, 1] < t[:, 2])).all() and _ascending(t)):
-        return None
-    return t
+    return values.reshape(-1, 3)
 
 
-def _read_lines(body: list[tuple[int, str]]) -> list[tuple[int, int, int]]:
-    """The triple lines read and checked one at a time: this reads lines
-    that are not plain, and finds the first line that breaks the grammar."""
-    triples: list[tuple[int, int, int]] = []
-    previous: tuple[int, int, int] | None = None
-    for lineno, row in body:
+def _read_lines(body: list[tuple[int, str]]) -> np.ndarray:
+    """The triple lines read by token, up to the first that is not three integers."""
+    rows = []
+    for _, row in body:
         parts = row.split()
         if len(parts) != 3 or not all(p.removeprefix("-").isdecimal() for p in parts):
-            raise ParseError(f"triple line must be three integers, got {row!r}", lineno)
-        t = (int(parts[0]), int(parts[1]), int(parts[2]))
-        if not t[0] < t[1] < t[2]:
-            raise ParseError(f"triple {t} is not strictly increasing", lineno)
-        if previous is not None and t <= previous:
-            raise ParseError(f"triple {t} breaks lexicographic line order", lineno)
-        previous = t
-        triples.append(t)
-    return triples
+            break
+        rows.append(tuple(map(int, parts)))
+    try:  # left to itself, numpy would pick float64 for a vertex past int64
+        return np.array(rows, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:  # object dtype keeps such a vertex exact
+        return np.array(rows, dtype=object).reshape(-1, 3)
 
 
 def parse_system(text: str) -> TripleSystem:
     """Parse the .lts format.
 
-    The triple lines are read and checked in bulk when all of them are
-    plain (see _plain_triples), otherwise one at a time.  Every grammar
-    violation raises ParseError with its line number; the first one in the
-    file is reported, whichever way the lines were read.  Only
-    then is the system validated by build_system; its VertexOutOfRange and
-    DuplicatePairCoverage are re-raised with the offending lines in the
-    message.
+    The triple lines are read in bulk when all are plain (_plain_triples),
+    else by token (_read_lines), then checked once, in bulk.  ParseError
+    names the first line that breaks the grammar, whose checks run in this
+    order on a line: three integers, increasing, above the line before.
+    Only then is the system validated by build_system; its VertexOutOfRange
+    and DuplicatePairCoverage are re-raised with the offending lines.
     """
     rows: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -150,13 +139,21 @@ def parse_system(text: str) -> TripleSystem:
     triples = _plain_triples([row for _, row in body])
     if triples is None:
         triples = _read_lines(body)
+    increasing = (triples[:, 0] < triples[:, 1]) & (triples[:, 1] < triples[:, 2])
+    ordered = np.r_[True, _ascending(triples)]  # [True] broadcasts to no rows
+    if (bad := np.flatnonzero(~(increasing & ordered))).size:
+        i = int(bad[0])
+        t = tuple(triples[i].tolist())
+        if not increasing[i]:
+            raise ParseError(f"triple {t} is not strictly increasing", body[i][0])
+        raise ParseError(f"triple {t} breaks lexicographic line order", body[i][0])
+    if len(triples) < m:
+        lineno, row = body[len(triples)]
+        raise ParseError(f"triple line must be three integers, got {row!r}", lineno)
 
     def line_of(t: tuple[int, int, int]) -> int:
-        # the rows are distinct, and row i came from body[i]; object dtype
-        # compares vertices past int64 exactly
-        rows = np.asarray(triples, dtype=object)
-        hit = (rows == np.array(t, dtype=object)).all(axis=1)
-        return body[int(hit.argmax())][0]
+        # the rows are sorted and distinct, and row i came from body[i]
+        return body[bisect_left(triples, t, key=tuple)][0]
 
     try:
         return build_system(n, triples)
@@ -179,10 +176,12 @@ class _InvalidSystemFile(Exception):
 
 
 def _load(path: str) -> TripleSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()  # decoded whole, so an error's offset is the file's
     try:
-        return parse_system(text)
+        return parse_system(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 at byte {exc.start}") from None
     except ValidationError as exc:
         raise _InvalidSystemFile(f"{path}: {exc}") from exc
 

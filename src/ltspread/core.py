@@ -37,11 +37,12 @@ def _normalize_triple(raw: Iterable[int]) -> Triple:
     return (x, y, z)
 
 
-def _ascending(t: np.ndarray) -> bool:
-    """True when the rows of t are in strictly increasing lexicographic order."""
+def _ascending(t: np.ndarray) -> np.ndarray:
+    """Per row of t after the first, whether it is lexicographically above
+    the row before."""
     a, b = t[:-1].T, t[1:].T
     rise = (b[1] > a[1]) | ((b[1] == a[1]) & (b[2] > a[2]))
-    return bool(((b[0] > a[0]) | ((b[0] == a[0]) & rise)).all())
+    return (b[0] > a[0]) | ((b[0] == a[0]) & rise)
 
 
 def _normalize_array(raw: np.ndarray) -> tuple[np.ndarray, tuple[Triple, ...]]:
@@ -53,7 +54,7 @@ def _normalize_array(raw: np.ndarray) -> tuple[np.ndarray, tuple[Triple, ...]]:
     if (bad := np.flatnonzero((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]))).size:
         entries = tuple(raw[bad[0]].tolist())
         raise DegenerateTriple(f"repeated vertex in triple {entries!r}")
-    if not _ascending(t):
+    if not _ascending(t).all():
         t = t[np.lexsort(t.T[::-1])]
         t = t[np.r_[True, (t[1:] != t[:-1]).any(axis=1)]]
     return t, tuple(zip(*t.T.tolist()))

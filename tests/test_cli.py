@@ -239,9 +239,13 @@ def test_parse_agrees_with_the_line_by_line_parser(seed, n, plain, kinds):
     text = lts_text(random.Random(seed), n, plain, kinds)
     with patch.object(cli, "_read_lines", wraps=cli._read_lines) as per_line:
         expected = assert_parsers_agree(text)
-    # lines are read one at a time only when some line is not plain, or to
-    # find the line that breaks the grammar
-    assert per_line.called == (not plain or isinstance(expected, ParseError))
+    # lines are read one token at a time exactly when the counts agree and
+    # some triple line is not plain; a plain file is read once, in bulk,
+    # even when it breaks the grammar
+    rows = [s for line in text.splitlines() if (s := line.strip()) and s[0] != "#"]
+    counted = len(rows) - 2 == int(rows[1].split()[1])
+    not_plain = not plain or any(len(row.split()) != 3 for row in rows[2:])
+    assert per_line.called == (counted and not_plain)
     event("per line" if per_line.called else "bulk")
     event(type(expected).__name__)
 
@@ -260,6 +264,13 @@ def test_parse_agrees_with_the_line_by_line_parser(seed, n, plain, kinds):
         "lts 1\n9 2\n0 1 2\n3 4 000000000000000005\n",
         "lts 1\n9 2\n0 1 2\n3 4 0000000000000000005\n",
         "lts 1\n9 0\n",
+        "lts 1\n9 3\n3 4 5\n0 1 2\n6 7\n",
+        "lts 1\n9 2\n0 2 18446744073709551616\n1 3 18446744073709551617\n",
+        "lts 1\n9 2\n1 3 18446744073709551617\n0 2 18446744073709551616\n",
+        "lts 1\n9 2\n0 2 18446744073709551616\n0 2 18446744073709551617\n",
+        "lts 1\n9 2\n0 2 18446744073709551617\n0 2 18446744073709551616\n",
+        "lts 1\n9 2\n0 2 1\n3 4 5\n",
+        "lts 1\n9 2\n0\xa01 2\n3 4 9223372036854775807\n",
     ],
 )
 def test_parse_agrees_on_edge_texts(text):
@@ -371,6 +382,14 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check", "--input", path, "--property", "linear")
     assert code == 2
     assert "unsupported header" in err
+
+
+def test_undecodable_file_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "latin1.lts")
+    Path(path).write_bytes(b"lts 1\n3 1\n0 1 \xff\n")  # byte 14 starts no character
+    code, _, err = run_cli(capsys, "check", "--input", path, "--property", "linear")
+    assert code == 2
+    assert f"error: {path}: not UTF-8 at byte 14\n" in err
 
 
 def test_invalid_system_exits_3(tmp_path, capsys):
