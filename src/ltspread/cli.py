@@ -43,7 +43,7 @@ from .constructions import (
     spreading_6p3,
     star_expansion,
 )
-from .core import TripleSystem, _ascending, build_system
+from .core import TripleSystem, _canonical, build_system
 from .errors import (
     DuplicatePairCoverage,
     LtsError,
@@ -139,8 +139,7 @@ def parse_system(text: str) -> TripleSystem:
     triples = _plain_triples([row for _, row in body])
     if triples is None:
         triples = _read_lines(body)
-    increasing = (triples[:, 0] < triples[:, 1]) & (triples[:, 1] < triples[:, 2])
-    ordered = np.r_[True, _ascending(triples)]  # [True] broadcasts to no rows
+    increasing, ordered = _canonical(triples)
     if (bad := np.flatnonzero(~(increasing & ordered))).size:
         i = int(bad[0])
         t = tuple(triples[i].tolist())

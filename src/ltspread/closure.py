@@ -234,7 +234,7 @@ def is_strongly_connected(system: TripleSystem) -> PropertyVerdict:
     size, side = n, None
     for rows in _combinations(n, 4, _block_size(system)):
         reach = _unpack(_close_batch(n, rows, pairs), len(rows))
-        sizes = reach.sum(axis=0)
+        sizes = reach.sum(axis=0, dtype=np.min_scalar_type(n))  # each at most n
         i = int(np.argmin(sizes))
         if sizes[i] < size:
             size, side = int(sizes[i]), frozenset(np.flatnonzero(reach[:, i]).tolist())
@@ -368,7 +368,8 @@ def expander_deficiency(
                 m = table[:, start // 64 : -(-stop // 64)]
             else:
                 m = _subsets(n, k, start, stop, table, level)
-            counts = _unpack(_neighbourhoods(m, pairs), stop - start).sum(0)
+            bits = _unpack(_neighbourhoods(m, pairs), stop - start)
+            counts = bits.sum(0, dtype=np.min_scalar_type(n))  # each at most n
             idx = int(np.argmin(counts))
             per_size[k] = min(per_size.get(k, n), int(counts[idx]))
             attainers.append((int(counts[idx]) - (k - 3), k, start + idx))

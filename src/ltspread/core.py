@@ -37,27 +37,16 @@ def _normalize_triple(raw: Iterable[int]) -> Triple:
     return (x, y, z)
 
 
-def _ascending(t: np.ndarray) -> np.ndarray:
-    """Per row of t after the first, whether it is lexicographically above
-    the row before."""
+def _canonical(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two masks over the rows of an (m, 3) array: each row strictly
+    increasing, and each row lexicographically above the row before (true
+    for the first row).  Rows are canonical where both hold."""
+    increasing = (t[:, 0] < t[:, 1]) & (t[:, 1] < t[:, 2])
     a, b = t[:-1].T, t[1:].T
     rise = (b[1] > a[1]) | ((b[1] == a[1]) & (b[2] > a[2]))
-    return (b[0] > a[0]) | ((b[0] == a[0]) & rise)
-
-
-def _normalize_array(raw: np.ndarray) -> tuple[np.ndarray, tuple[Triple, ...]]:
-    """_normalize_triple on each row of an (m, 3) integer array, then the
-    sort and dedupe, in bulk: the intp array and the triples as tuples.
-    Rows already in strictly increasing order, as a parsed file's are, are
-    not sorted again."""
-    t = np.sort(raw, axis=1).astype(np.intp, copy=False)
-    if (bad := np.flatnonzero((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]))).size:
-        entries = tuple(raw[bad[0]].tolist())
-        raise DegenerateTriple(f"repeated vertex in triple {entries!r}")
-    if not _ascending(t).all():
-        t = t[np.lexsort(t.T[::-1])]
-        t = t[np.r_[True, (t[1:] != t[:-1]).any(axis=1)]]
-    return t, tuple(zip(*t.T.tolist()))
+    above = np.ones(len(t), dtype=bool)
+    above[1:] = (b[0] > a[0]) | ((b[0] == a[0]) & rise)
+    return increasing, above
 
 
 class TripleSystem:
@@ -84,11 +73,18 @@ class TripleSystem:
             raise VertexOutOfRange(f"vertex count must be {bound}, got {n}")
         self.n = n
         # Per triple, a Python loop beats numpy set-up on the few triples of a
-        # search candidate; an integer array is taken in bulk.  uint64 is
-        # not, as its values can pass intp.
+        # search candidate.  An integer array of canonical rows, as a parsed
+        # file's are, is taken in bulk: it needs no sort or dedupe.  uint64 is
+        # not, as its values can pass intp; any other array goes per triple.
         bulk = isinstance(triples, np.ndarray) and triples.shape[1:] == (3,)
-        if bulk and triples.dtype.kind in "iu" and np.can_cast(triples.dtype, np.intp):
-            t, tri = _normalize_array(triples)
+        if (
+            bulk
+            and triples.dtype.kind in "iu"
+            and np.can_cast(triples.dtype, np.intp)
+            and all(mask.all() for mask in _canonical(triples))
+        ):
+            t = triples.astype(np.intp)  # a copy: the caller's array stays writeable
+            tri = tuple(zip(*t.T.tolist()))
         else:
             # dict keeps input order, so triples that arrive sorted sort in O(m)
             tri = tuple(sorted(dict.fromkeys(map(_normalize_triple, triples))))
@@ -212,13 +208,14 @@ def build_system(n: int, triples: Iterable[Iterable[int]] = ()) -> TripleSystem:
     Triples may arrive in any entry order and with duplicates; they are
     sorted and deduplicated, then checked in lexicographic order, so the
     error names the lexicographically first defect.  An (m, 3) integer
-    ndarray (other than uint64) is taken in bulk, with no Python work per
-    triple, and rows already in strictly increasing order are not sorted
-    again; any other iterable is normalised one triple at a time, which is
-    cheaper for a few triples.  Raises DegenerateTriple for the first
-    triple, in input order, without three distinct entries,
-    VertexOutOfRange (``.triple`` is the offending triple; None when n
-    itself is out of range) and DuplicatePairCoverage (``.pair``, and
-    ``.triples``: the earlier and the later triple covering it).
+    ndarray (other than uint64) of canonical rows, each strictly increasing
+    and above the row before, is taken in bulk, with no Python work per
+    triple; any other array, like any other iterable, is normalised one
+    triple at a time, which is cheaper for a few triples.  Raises
+    DegenerateTriple for the first triple, in input order, without three
+    distinct entries, VertexOutOfRange (``.triple`` is the offending
+    triple; None when n itself is out of range) and DuplicatePairCoverage
+    (``.pair``, and ``.triples``: the earlier and the later triple covering
+    it).
     """
     return TripleSystem(n, triples)

@@ -4,13 +4,14 @@ import random
 import sys
 import tracemalloc
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltspread import errors
+from ltspread import core, errors
 from ltspread import (
     DegenerateTriple,
     DuplicatePairCoverage,
@@ -237,9 +238,10 @@ def test_build_system_reports_the_naive_first_defect(seed, n, kinds):
     ),
 )
 def test_build_system_from_arrays_reports_the_naive_first_defect(seed, n, kinds):
-    """An integer array of triples, taken in bulk, builds the system the
-    list builds, or raises the naive first defect; for int64, int32 and,
-    when no vertex is negative, uint16."""
+    """An integer array of triples builds the system the list builds, or
+    raises the naive first defect; for int64, int32 and, when no vertex is
+    negative, uint16.  When no triple repeats a vertex, so do the same
+    triples in canonical form, which are taken in bulk."""
     rng = random.Random(seed)
     triples = list(random_linear_system(rng, n).triples)
     for kind in kinds:
@@ -258,6 +260,19 @@ def test_build_system_from_arrays_reports_the_naive_first_defect(seed, n, kinds)
             assert_same_index(s, build_system(n, [tuple(t) for t in triples]))
         else:
             assert_first_defect(n, given_, expected)
+    if all(len(set(t)) == 3 for t in triples):
+        canonical = sorted({tuple(sorted(t)) for t in triples})
+        array = np.array(canonical, np.int64).reshape(-1, 3)
+        expected = first_defect_naive(n, canonical)
+        wrapped = core._normalize_triple
+        with patch.object(core, "_normalize_triple", wraps=wrapped) as per_triple:
+            if expected is None:
+                s = build_system(n, array)
+            else:
+                assert_first_defect(n, array, expected)
+        assert not per_triple.called
+        if expected is None:
+            assert_same_index(s, build_system(n, canonical))
 
 
 def assert_first_defect(n, given_, expected):
@@ -286,6 +301,19 @@ def test_build_system_array_forms():
     assert_same_index(s, build_system(5, rows.tolist()))
     # the caller's array is neither sorted in place nor frozen
     assert rows.flags.writeable and rows[0].tolist() == [4, 3, 2]
+    # canonical rows are taken in bulk, from a copy even when already intp
+    canonical = [[0, 1, 2], [0, 3, 4], [1, 3, 5]]
+    rows = np.array(canonical, dtype=np.intp)
+    s = build_system(6, rows)
+    assert_same_index(s, build_system(6, canonical))
+    assert rows.flags.writeable and rows.tolist() == canonical
+    assert not np.shares_memory(rows, s.triple_array)
+    for dtype in (np.int16, np.uint8):
+        s = build_system(6, np.array(canonical, dtype=dtype))
+        assert_same_index(s, build_system(6, canonical))
+    # increasing rows out of order, or repeated, are sorted and deduplicated
+    for rows in ([[1, 3, 5], [0, 1, 2]], [[0, 1, 2], [0, 1, 2]]):
+        assert_same_index(build_system(6, np.array(rows)), build_system(6, rows))
     # uint64 can pass intp, so it goes triple by triple, exactly
     with pytest.raises(VertexOutOfRange) as exc:
         build_system(5, np.array([[0, 1, 2**63 + 5]], dtype=np.uint64))
