@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Iterable
 
-from .constructions import spreading_6p3
+from .constructions import _require_odd_prime
 from .errors import OutOfRange
 
 __all__ = [
@@ -152,9 +152,9 @@ def bounds_report(tolerance: float = 1e-8) -> BoundsReport:
 
 
 def construction_density(p: int) -> tuple[int, int, float]:
-    """(n, triple count, count/n^2) for spreading_6p3(p); the ratio
-    decreases toward 5/36 as p grows."""
-    system = spreading_6p3(p)
-    n = system.n
-    m = len(system.triples)
+    """(n, triple count, count/n^2) for spreading_6p3(p), from its stated
+    count 5p^2 + 6p + 1 without building it; the ratio decreases toward
+    5/36 as p grows."""
+    p = _require_odd_prime(p, "spreading_6p3")
+    n, m = 6 * p + 3, 5 * p * p + 6 * p + 1
     return n, m, m / (n * n)

@@ -9,7 +9,10 @@ spreading system admits such an ordering of its triples, and one led by
 intersecting T1, T2 exists exactly when the closure of T1 | T2 holds the
 whole span (see ordering_witness), so up to relabeling the enumeration
 covers them all; within it, a system of m triples spans at most m+3
-vertices, which is what makes small minima exhaustively checkable.
+vertices, which is what makes small minima exhaustively checkable.  One
+step rule builds every such ordering: each triple is a 3-subset of the
+vertices used so far plus the next fresh one (the next two for the
+second triple) whose three pairs are all uncovered.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import combinations, count
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .closure import closure, is_weakly_spreading
 from .core import Triple, TripleSystem, build_system
@@ -49,59 +52,41 @@ def _level_candidates(
     """Yield the normalized m-triple placements spanning [0, n) in
     lexicographic order.
 
-    Each step tries every allowed next triple in lexicographic order: any
-    3-subset of the vertices used so far plus the next fresh one, with all
-    three pairs uncovered; a triple containing the fresh vertex introduces
-    it.  Distinct DFS paths are distinct placements, so nothing repeats.
+    After (0,1,2), each step tries in lexicographic order every 3-subset of
+    the vertices used so far plus the next fresh one (the next two for the
+    second triple) with all three pairs uncovered; a triple containing a
+    fresh vertex introduces it.  Each call of the DFS receives its whole
+    state: the placement, its covered pairs and the next fresh vertex.
+    Distinct DFS paths are distinct placements, so nothing repeats.
     counter[0] accumulates explored placements across calls; exceeding
     budget raises BudgetExceeded.
     """
     if m < 1:
         return
-    triples: list[Triple] = []
-    covered: set[tuple[int, int]] = set()
 
-    def pairs_of(t: Triple) -> tuple[tuple[int, int], ...]:
-        x, y, z = t
-        return ((x, y), (x, z), (y, z))
-
-    def place(t: Triple) -> None:
-        triples.append(t)
-        covered.update(pairs_of(t))
+    def extend(
+        placed: tuple[Triple, ...], covered: frozenset[tuple[int, int]], u: int
+    ) -> Iterator[tuple[Triple, ...]]:
         counter[0] += 1
         if counter[0] > budget:
             raise BudgetExceeded(
                 f"search used {counter[0]} nodes, over its budget of {budget}, "
                 f"while scanning {m}-triple systems"
             )
-
-    def unplace(t: Triple) -> None:
-        triples.pop()
-        covered.difference_update(pairs_of(t))
-
-    def extend(u: int) -> Iterator[tuple[Triple, ...]]:
-        k = len(triples)
+        k = len(placed)
         if k == m:
             if u == n:
-                yield tuple(triples)
+                yield placed
             return
-        if k == 0:
-            steps: Iterable[Triple] = [(0, 1, 2)]
-        elif k == 1:
-            if u + m < n:  # T2 adds two fresh vertices, later triples one
-                return
-            steps = [(t, 3, 4) for t in range(3)]
-        elif u + (m - k) < n:
+        fresh = 2 if k == 1 else 1  # T2 adds two fresh vertices, later triples one
+        if u + fresh - 1 + (m - k) < n:
             return  # not enough steps left to span
-        else:
-            steps = combinations(range(min(u + 1, n)), 3)
-        for cand in steps:
-            if all(p not in covered for p in pairs_of(cand)):
-                place(cand)
-                yield from extend(max(u, cand[2] + 1))
-                unplace(cand)
+        for x, y, z in combinations(range(min(u + fresh, n)), 3):
+            pairs = {(x, y), (x, z), (y, z)}
+            if covered.isdisjoint(pairs):
+                yield from extend(placed + ((x, y, z),), covered | pairs, max(u, z + 1))
 
-    yield from extend(0)
+    yield from extend(((0, 1, 2),), frozenset({(0, 1), (0, 2), (1, 2)}), 3)
 
 
 def min_weakly_spreading(

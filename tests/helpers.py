@@ -292,21 +292,17 @@ def tau_slope_naive(z: Fraction) -> Fraction:
     return n_slope * d - n * d_slope
 
 
-def min_weakly_spreading_naive(n: int):
-    """Smallest m with a weakly spreading normalized ordering of m triples
-    spanning range(n), and the least such ordering as a placement tuple.
-
-    Plain recursion over all 3-subsets at every step: the first triple is
-    (0, 1, 2), every triple meets each earlier one in at most one vertex,
-    the overlap conditions of is_valid_ordering hold, and the vertices a
-    triple introduces are the smallest unused labels.  Levels are scanned
-    from m = 1, every passing ordering of a level is collected, and the
-    least one is returned, so neither the n - 3 floor nor the emission
-    order is assumed.
+def normalized_orderings_naive(n: int, m: int):
+    """Every normalized ordering of m triples spanning range(n), as
+    placement tuples, in the order a plain recursion over all 3-subsets
+    at every step finds them: the first triple is (0, 1, 2), every triple
+    meets each earlier one in at most one vertex, the overlap conditions
+    of is_valid_ordering hold, and the vertices a triple introduces are
+    the smallest unused labels.
     """
     all_triples = list(combinations(range(n), 3))
 
-    def orderings(m: int, seq: list, used: set):
+    def orderings(seq: list, used: set):
         if len(seq) == m:
             if used == set(range(n)):
                 yield tuple(seq)
@@ -321,12 +317,23 @@ def min_weakly_spreading_naive(n: int):
                 continue
             if not is_valid_ordering(seq + [t]):
                 continue
-            yield from orderings(m, seq + [t], used | set(t))
+            yield from orderings(seq + [t], used | set(t))
 
+    yield from orderings([], set())
+
+
+def min_weakly_spreading_naive(n: int):
+    """Smallest m with a weakly spreading normalized ordering of m triples
+    spanning range(n), and the least such ordering as a placement tuple.
+
+    Levels of normalized_orderings_naive are scanned from m = 1, every
+    passing ordering of a level is collected, and the least one is
+    returned, so neither the n - 3 floor nor the emission order is assumed.
+    """
     for m in count(1):
         passing = [
             seq
-            for seq in orderings(m, [], set())
+            for seq in normalized_orderings_naive(n, m)
             if weakly_spreading_naive(build_system(n, seq))[0]
         ]
         if passing:

@@ -23,7 +23,7 @@ from ltspread import (
     tau_objective,
 )
 
-from helpers import tau_slope_naive
+from helpers import tau_slope_naive, traced_peak
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
@@ -184,6 +184,10 @@ def test_construction_density_values():
     assert abs(ratio - 288 / 2025) < 1e-15
     with pytest.raises(OutOfRange, match="requires an odd prime"):
         construction_density(9)
+    # counted, not built: spreading_6p3(211) itself takes about 110 MiB
+    result, peak = traced_peak(lambda: construction_density(211))
+    assert result == (1269, 223872, 223872 / 1269**2)
+    assert peak < 2**20
 
 
 def test_density_decreases_toward_5_36():

@@ -25,6 +25,7 @@ from ltspread.extremal import _level_candidates
 from helpers import (
     is_valid_ordering,
     min_weakly_spreading_naive,
+    normalized_orderings_naive,
     ordering_naive,
     random_systems,
 )
@@ -145,6 +146,13 @@ def test_argument_validation():
     assert str(exc.value) == (
         "search used 6 nodes, over its budget of 5, while scanning 5-triple systems"
     )
+    # at n = 10 the witness is the 86th placement: a budget of 86 is enough
+    assert min_weakly_spreading(10, budget=86).nodes_explored == 86
+    with pytest.raises(BudgetExceeded) as exc:
+        min_weakly_spreading(10, budget=85)
+    assert str(exc.value) == (
+        "search used 86 nodes, over its budget of 85, while scanning 7-triple systems"
+    )
 
 
 def test_minimum_verified_by_unconstrained_search_n5():
@@ -180,8 +188,22 @@ def test_degenerate_disjoint_pair_on_six_vertices():
 
 def test_generation_emits_no_duplicates():
     sizes = {(8, 5): 648, (9, 6): 8424}
-    for n, m in [(5, 2), (5, 3), (6, 3), (6, 4), (7, 4), (7, 5), *sizes]:
-        cands = list(_level_candidates(n, m, [0], 10**9))
+    nodes = {
+        (5, 2): 4,
+        (5, 3): 4,
+        (6, 3): 16,
+        (6, 4): 28,
+        (7, 4): 100,
+        (7, 5): 316,
+        (8, 5): 928,
+        (9, 6): 12880,
+    }
+    for n, m in nodes:
+        counter = [0]
+        cands = list(_level_candidates(n, m, counter, 10**9))
+        assert counter == [nodes[n, m]]
+        # the independent oracle emits the same placements in the same order
+        assert cands == list(normalized_orderings_naive(n, m))
         assert len(cands) == len(set(cands))
         assert cands == sorted(cands)
         if (n, m) in sizes:

@@ -4,8 +4,9 @@
     python3 tools/bench_record.py --workload load_query --seed 920 --checkout DIR
 
 perfbench/run.py runs in the checkout (by default this repository) as it
-would by hand, for the run length the checkout's BENCHMARK.json sets.  Its summary goes to stdout as usual.  Its final JSON line (correct,
-attempted, failed, metrics) is appended to BENCH_<workload>.json at the root
+would by hand, for the run length the checkout's BENCHMARK.json sets.  Its
+summary goes to stdout as usual.  Its final JSON line (correct, attempted,
+failed, metrics) is appended to BENCH_<workload>.json at the root
 of this repository, with the run's arguments, the UTC start time and the
 machine facts the run printed (commit and source hash of the checkout, CPU,
 pinned CPU, Python and numpy versions, load average).  The file is a JSON
