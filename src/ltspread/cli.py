@@ -59,100 +59,111 @@ _HEADER = "lts 1"
 
 
 def serialize_system(system: TripleSystem) -> str:
-    lines = [_HEADER, f"{system.n} {len(system.triples)}"]
-    lines.extend(f"{x} {y} {z}" for x, y, z in system.triples)
-    return "\n".join(lines) + "\n"
+    a = system.triple_array
+    head = f"{_HEADER}\n{system.n} {len(a)}\n"
+    return head + ("%d %d %d\n" * len(a)) % tuple(a.ravel().tolist())
 
 
-def _plain_triples(rows: list[str]) -> np.ndarray | None:
-    """The triple lines as an (m, 3) int64 array, read in bulk on their
-    bytes; None unless every line is plain: three runs of at most 18 ASCII
-    digits split by spaces or tabs, which always fit in int64."""
-    # one byte per character: a non-ASCII one becomes "?", which is not plain
-    b = np.frombuffer("\n".join(rows).encode("ascii", "replace"), dtype=np.uint8)
-    digit = b - 48 < 10  # uint8: bytes below "0" wrap past 9
-    if not (digit | (b == 32) | (b == 9) | (b == 10)).all():
-        return None
-    # the lines are stripped, so each starts and ends with a digit
-    edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
-    starts, width = edges[::2], edges[1::2] - edges[::2]
-    if len(starts) != 3 * len(rows) or width.max(initial=0) > 18:
-        return None
-    if (starts[3::3] != np.flatnonzero(b == 10) + 1).any():
-        return None  # a line without exactly three numbers
-    values = np.zeros(len(starts), dtype=np.int64)
-    for k in range(width.max(initial=0)):
-        more = width > k
-        values[more] = values[more] * 10 + (b[starts[more] + k] - 48)
-    return values.reshape(-1, 3)
+def _kept_lines(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable]:
+    """The lines that are neither blank nor "#" comments once stripped, found
+    in one numpy pass over the bytes: their str.splitlines numbers, which are
+    plain (three words of at most 18 ASCII digits, so each fits in int64), a
+    (k, 3) int64 array of the numbers on the plain ones (other rows are
+    undefined) and row(i), kept line i stripped.  Only lines with a non-ASCII
+    byte, whose whitespace str.strip knows better, are read one by one."""
+    # str.splitlines also breaks on these; once they are "\n", the only ASCII
+    # whitespace left to str.strip and str.split is tab, "\x1f" and space
+    if not text.isascii() or any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e"):
+        text = "\n".join(text.splitlines())  # the same line numbers
+    b = np.frombuffer(text.encode(), dtype=np.uint8)
+    breaks = np.flatnonzero(b == 10)
+    starts, ends = np.r_[0, breaks + 1], np.r_[breaks, len(b)]
+    word = np.r_[False, (b != 32) & (b != 9) & (b != 31) & (b != 10), False]
+    # contiguous, as numpy gathers slowly from strided arrays
+    start, end = np.flatnonzero(word[1:] != word[:-1]).reshape(-1, 2).T.copy()
+    first = np.searchsorted(start, starts)
+    words = np.diff(first, append=len(start))
+    kept = words > 0
+    kept[kept] = b[start[first[kept]]] != 35  # "#"
+    odd = np.flatnonzero(word[1:-1] & (b - 48 > 9))  # uint8: below "0" wraps past 9
+    plain = words == 3
+    plain[np.searchsorted(breaks, np.r_[odd, start[end - start > 18]])] = False
+
+    def line(j: int) -> str:
+        return b[starts[j] : ends[j]].tobytes().decode().strip()
+
+    # a line with a non-ASCII byte, which is odd, is not plain
+    for j in set(np.searchsorted(breaks, np.flatnonzero(b > 127)).tolist()):
+        kept[j] = line(j)[:1] not in ("", "#")
+    number = np.r_[(b[end - 1] - 48).astype(np.int64), 0]  # a spare for take
+    width = end - start
+    for k in range(2, min(width.max(initial=0), 18) + 1):  # digit k from the end
+        more = np.flatnonzero(width >= k)
+        number[more] += (b[end[more] - k] - 48) * np.int64(10 ** (k - 1))
+    kept = np.flatnonzero(kept)
+    values = number.take(first[kept, None] + np.arange(3), mode="clip")
+    return kept + 1, plain[kept], values, lambda i: line(kept[i])
 
 
-def _read_lines(body: list[tuple[int, str]]) -> np.ndarray:
-    """The triple lines read by token, up to the first that is not three integers."""
-    rows = []
-    for _, row in body:
-        parts = row.split()
+def _read_lines(rows: list[str]) -> np.ndarray:
+    """Lines read by token, up to the first that is not three integers."""
+    out = []
+    for parts in map(str.split, rows):
         if len(parts) != 3 or not all(p.removeprefix("-").isdecimal() for p in parts):
             break
-        rows.append(tuple(map(int, parts)))
+        out.append(tuple(map(int, parts)))
     try:  # left to itself, numpy would pick float64 for a vertex past int64
-        return np.array(rows, dtype=np.int64).reshape(-1, 3)
+        return np.array(out, dtype=np.int64).reshape(-1, 3)
     except OverflowError:  # object dtype keeps such a vertex exact
-        return np.array(rows, dtype=object).reshape(-1, 3)
+        return np.array(out, dtype=object).reshape(-1, 3)
 
 
 def parse_system(text: str) -> TripleSystem:
     """Parse the .lts format.
 
-    The triple lines are read in bulk when all are plain (_plain_triples),
-    else by token (_read_lines), then checked once, in bulk.  ParseError
-    names the first line that breaks the grammar, whose checks run in this
-    order on a line: three integers, increasing, above the line before.
-    Only then is the system validated by build_system; its VertexOutOfRange
-    and DuplicatePairCoverage are re-raised with the offending lines.
+    _kept_lines reads the plain triple lines in bulk and _read_lines the
+    others by token; the rows are checked once, in bulk.  ParseError names
+    the first line that breaks the grammar, whose checks run in this order
+    on a line: three integers, increasing, above the line before.  Only then
+    does build_system validate the system; its VertexOutOfRange and
+    DuplicatePairCoverage are re-raised with the offending lines.
     """
-    rows: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("#"):
-            rows.append((lineno, stripped))
-    if not rows:
+    numbers, plain, values, row = _kept_lines(text)
+    if not len(numbers):
         raise ParseError("empty input: missing header", line=1)
-    lineno, header = rows[0]
+    lineno, header = int(numbers[0]), row(0)
     if header != _HEADER:
         raise ParseError(f"unsupported header {header!r}, expected {_HEADER!r}", lineno)
-    if len(rows) < 2:
+    if len(numbers) < 2:
         raise ParseError("missing counts line", line=lineno)
-    lineno, counts = rows[1]
+    lineno, counts = int(numbers[1]), row(1)
     parts = counts.split()
     if len(parts) != 2 or not all(p.removeprefix("-").isdecimal() for p in parts):
         raise ParseError(f"counts line must be two integers, got {counts!r}", lineno)
     n, m = int(parts[0]), int(parts[1])
     if n < 0 or m < 0:
         raise ParseError(f"counts must be non-negative, got {counts!r}", lineno)
-    body = rows[2:]
-    if len(body) != m:
-        raise ParseError(
-            f"expected {m} triple lines, found {len(body)}",
-            line=body[-1][0] if body else lineno,
-        )
-    triples = _plain_triples([row for _, row in body])
-    if triples is None:
-        triples = _read_lines(body)
+    if (found := len(numbers) - 2) != m:
+        raise ParseError(f"expected {m} triple lines, found {found}", int(numbers[-1]))
+    triples, other = values[2:], np.flatnonzero(~plain[2:])
+    if other.size:  # the rows up to the first line that is not three integers
+        read = _read_lines([row(i) for i in (other + 2).tolist()])
+        triples = triples[: np.r_[other, m][len(read)]].astype(read.dtype, copy=False)
+        triples[other[: len(read)]] = read
     increasing, ordered = _canonical(triples)
     if (bad := np.flatnonzero(~(increasing & ordered))).size:
         i = int(bad[0])
-        t = tuple(triples[i].tolist())
+        t, lineno = tuple(triples[i].tolist()), int(numbers[i + 2])
         if not increasing[i]:
-            raise ParseError(f"triple {t} is not strictly increasing", body[i][0])
-        raise ParseError(f"triple {t} breaks lexicographic line order", body[i][0])
-    if len(triples) < m:
-        lineno, row = body[len(triples)]
-        raise ParseError(f"triple line must be three integers, got {row!r}", lineno)
+            raise ParseError(f"triple {t} is not strictly increasing", lineno)
+        raise ParseError(f"triple {t} breaks lexicographic line order", lineno)
+    if (i := len(triples)) < m:
+        got, lineno = row(i + 2), int(numbers[i + 2])
+        raise ParseError(f"triple line must be three integers, got {got!r}", lineno)
 
     def line_of(t: tuple[int, int, int]) -> int:
-        # the rows are sorted and distinct, and row i came from body[i]
-        return body[bisect_left(triples, t, key=tuple)][0]
+        # the rows are sorted and distinct, and row i came from kept line i + 2
+        return int(numbers[bisect_left(triples, t, key=tuple) + 2])
 
     try:
         return build_system(n, triples)
@@ -162,11 +173,8 @@ def parse_system(text: str) -> TripleSystem:
         message = f"line {line_of(t)}: vertex outside [0, {n}) in {t}"
         raise VertexOutOfRange(message, t) from None
     except DuplicatePairCoverage as exc:
-        earlier, later = exc.triples
-        message = (
-            f"line {line_of(later)}: pair {exc.pair} already covered on line "
-            f"{line_of(earlier)}"
-        )
+        earlier, later = map(line_of, exc.triples)
+        message = f"line {later}: pair {exc.pair} already covered on line {earlier}"
         raise DuplicatePairCoverage(exc.pair, exc.triples, message) from None
 
 
@@ -186,11 +194,8 @@ def _load(path: str) -> TripleSystem:
 
 
 def _summary(system: TripleSystem) -> dict[str, Any]:
-    return {
-        "n": system.n,
-        "m": len(system.triples),
-        "steiner": system.is_steiner(),
-    }
+    m = len(system.triple_array)
+    return {"n": system.n, "m": m, "steiner": system.is_steiner()}
 
 
 def _witness_json(verdict: PropertyVerdict) -> Any:
@@ -206,13 +211,11 @@ def _emit(report: dict[str, Any]) -> None:
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
+    pieces = [piece.strip() for piece in text.split(",")]
+    for piece in pieces:
         if not piece.removeprefix("-").isdecimal():
             raise ParseError(f"{what} expects comma-separated integers, got {piece!r}")
-        out.append(int(piece))
-    return out
+    return [int(piece) for piece in pieces]
 
 
 # Each entry looks its library function up when called, so a caller that
@@ -237,7 +240,9 @@ def _steiner(system: TripleSystem) -> PropertyVerdict:
 
 
 _PROPERTIES: dict[str, Callable[[TripleSystem, str], PropertyVerdict]] = {
-    "linear": lambda system, mode: PropertyVerdict(True, None, len(system.triples)),
+    "linear": lambda system, mode: PropertyVerdict(
+        True, None, len(system.triple_array)
+    ),
     "steiner": lambda system, mode: _steiner(system),
     "spreading": lambda system, mode: is_spreading(system, mode.replace("-", "_")),
     "weakly-spreading": lambda system, mode: is_weakly_spreading(system),
@@ -254,11 +259,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     family = args.family
     system = _FAMILIES[family](args)
     if family == "bose-skolem" and not _is_prime(args.p):
-        print(
-            f"advisory: modulus {args.p} is composite; the system is "
-            "Steiner but the expansion guarantee assumes a prime",
-            file=sys.stderr,
-        )
+        advice = "the system is Steiner but the expansion guarantee assumes a prime"
+        print(f"advisory: modulus {args.p} is composite; {advice}", file=sys.stderr)
     text = serialize_system(system)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -346,12 +348,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.tau or args.constants:
         full = bounds_mod.bounds_report()
         if args.tau:
-            report["tau"] = full.tau
-            report["argmax_z"] = full.argmax_z
+            report.update(tau=full.tau, argmax_z=full.argmax_z)
         if args.constants:
-            report["edge_bound_coeff"] = full.edge_bound_coeff
-            report["xi_sp_coeff"] = full.xi_sp_coeff
-            report["naive_coeff"] = full.naive_coeff
+            names = ("edge_bound_coeff", "xi_sp_coeff", "naive_coeff")
+            report.update((name, getattr(full, name)) for name in names)
     if args.density is not None:
         n, m, ratio = bounds_mod.construction_density(args.density)
         report["density"] = {"p": args.density, "n": n, "m": m, "ratio": ratio}

@@ -113,7 +113,7 @@ def _block_size(system: TripleSystem) -> int:
     """Seeds per block: _BLOCK, or fewer (a multiple of 64, at least 64) when
     a pair-indexed sweep temporary, or an n x block byte matrix such as
     _pack's, would outgrow _PAIR_BYTES."""
-    n, m = system.n, len(system.triples)
+    n, m = system.n, len(system.triple_array)
     fit = min(_PAIR_BYTES * 8 // (3 * m or 1), _PAIR_BYTES // (n or 1))
     return min(_BLOCK, max(64, fit // 64 * 64))
 
@@ -211,7 +211,7 @@ def is_weakly_spreading(system: TripleSystem) -> PropertyVerdict:
     with more than one triple, since closure is monotone.  Seeds t1 + t2 go
     to the batch kernel in combinations(triples, 2) order.
     """
-    ijs = _combinations(len(system.triples), 2, _block_size(system))
+    ijs = _combinations(len(system.triple_array), 2, _block_size(system))
     blocks = (system.triple_array[ij].reshape(-1, 6) for ij in ijs)
     return _scan(system, blocks, lambda seed: (tuple(seed[:3]), tuple(seed[3:])))
 

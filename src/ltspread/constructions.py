@@ -23,16 +23,34 @@ __all__ = [
 ]
 
 
+# Miller-Rabin on the primes up to 41 decides every p below the smallest
+# strong pseudoprime to all of them (Sorenson and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; OutOfRange from _PRIME_BOUND (about
+    3.3e24) on, where the bases no longer decide."""
+    if p >= _PRIME_BOUND:
+        raise OutOfRange(f"primality is decided below {_PRIME_BOUND}, got {p}")
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _PRIME_BASES:  # past this loop, p is odd and above every base
+        if p % a == 0:
+            return p == a
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    for a in _PRIME_BASES:
+        # p passes base a when a^d is 1 or some a^(d 2^r), r < s, is -1
+        x = pow(a, (p - 1) >> s, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 2
     return True
 
 

@@ -54,7 +54,9 @@ class TripleSystem:
 
     Attributes:
         n: number of vertices; labels are 0..n-1.
-        triples: lexicographically sorted tuple of sorted triples.
+        triples: lexicographically sorted tuple of sorted triples, built
+            from triple_array on first access when the system was built in
+            bulk from an array.
         triple_array: the triples as an (m, 3) intp array.
         pair_codes, pair_thirds: the 3m covered pairs x < y as sorted codes
             x*n + y, and the third vertex of each.
@@ -63,7 +65,7 @@ class TripleSystem:
     """
 
     __slots__ = (
-        "n", "triples", "triple_array", "pair_codes", "pair_thirds", "sweep_pairs"
+        "n", "_triples", "triple_array", "pair_codes", "pair_thirds", "sweep_pairs"
     )
 
     def __init__(self, n: int, triples: Iterable[Iterable[int]] = ()):
@@ -84,7 +86,7 @@ class TripleSystem:
             and all(mask.all() for mask in _canonical(triples))
         ):
             t = triples.astype(np.intp)  # a copy: the caller's array stays writeable
-            tri = tuple(zip(*t.T.tolist()))
+            tri = None  # the triples property builds it when asked
         else:
             # dict keeps input order, so triples that arrive sorted sort in O(m)
             tri = tuple(sorted(dict.fromkeys(map(_normalize_triple, triples))))
@@ -92,7 +94,11 @@ class TripleSystem:
                 t = np.array(tri, dtype=np.intp).reshape(-1, 3)
             except OverflowError:  # such a vertex is out of range; clipping keeps it so
                 t = np.array(tri, dtype=object).clip(-1, n).astype(np.intp)
-        self.triples = tri
+        self._triples = tri
+
+        def row(i: int) -> Triple:
+            return tuple(t[i].tolist()) if tri is None else tri[i]
+
         # pair slot j of triple i is flat index 3i + j: pairs xy, xz, yz
         x, y, z = (t.take(c, axis=1).ravel() for c in ([0, 0, 1], [1, 2, 2], [2, 1, 0]))
         codes = x * n + y
@@ -103,14 +109,14 @@ class TripleSystem:
         # cover (flat index f) right after the one before it.  A bad triple's
         # codes may clash, but never below its own index, where range wins.
         bad = np.flatnonzero((t[:, 0] < 0) | (t[:, 2] >= n))
-        first = int(bad[0]) if bad.size else len(tri)
+        first = int(bad[0]) if bad.size else len(t)
         if (repeats := np.flatnonzero(codes[1:] == codes[:-1])).size:
             k = repeats[np.argmin(by_code[repeats + 1])]
             if (f := int(by_code[k + 1])) // 3 < first:
                 pair = (int(x[f]), int(y[f]))
-                raise DuplicatePairCoverage(pair, (tri[by_code[k] // 3], tri[f // 3]))
+                raise DuplicatePairCoverage(pair, (row(by_code[k] // 3), row(f // 3)))
         if bad.size:
-            culprit = tri[first]
+            culprit = row(first)
             v = culprit[0] if culprit[0] < 0 else culprit[2]
             message = f"vertex {v} outside [0, {n}) in triple {culprit}"
             raise VertexOutOfRange(message, culprit)
@@ -120,6 +126,12 @@ class TripleSystem:
         self.triple_array, self.pair_codes, self.pair_thirds = t, codes, z[by_code]
         for array in (t, codes, self.pair_thirds, *self.sweep_pairs):
             array.flags.writeable = False
+
+    @property
+    def triples(self) -> tuple[Triple, ...]:
+        if self._triples is None:
+            self._triples = tuple(zip(*self.triple_array.T.tolist()))
+        return self._triples
 
     def _vertices(self, subset: Iterable[int]) -> tuple[int, ...]:
         """The distinct vertices of subset, in order; each must be in range."""
@@ -185,7 +197,7 @@ class TripleSystem:
 
     def span(self) -> frozenset[int]:
         """The set of vertices that appear in at least one triple."""
-        return frozenset(v for t in self.triples for v in t)
+        return frozenset(self.triple_array.ravel().tolist())
 
     def __iter__(self) -> Iterator[Triple]:
         return iter(self.triples)
@@ -193,13 +205,15 @@ class TripleSystem:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TripleSystem):
             return NotImplemented
-        return self.n == other.n and self.triples == other.triples
+        return self.n == other.n and np.array_equal(
+            self.triple_array, other.triple_array
+        )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.triples))
+        return hash((self.n, self.triple_array.tobytes()))
 
     def __repr__(self) -> str:
-        return f"TripleSystem(n={self.n}, triples={len(self.triples)})"
+        return f"TripleSystem(n={self.n}, triples={len(self.triple_array)})"
 
 
 def build_system(n: int, triples: Iterable[Iterable[int]] = ()) -> TripleSystem:

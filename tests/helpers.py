@@ -159,6 +159,13 @@ def parse_naive(text: str) -> TripleSystem:
         raise DuplicatePairCoverage(exc.pair, exc.triples, message) from None
 
 
+def serialize_naive(system: TripleSystem) -> str:
+    """The .lts text written one triple at a time, with an f-string each."""
+    lines = ["lts 1", f"{system.n} {len(system.triples)}"]
+    lines.extend(f"{x} {y} {z}" for x, y, z in system.triples)
+    return "\n".join(lines) + "\n"
+
+
 def neighbourhood_naive(system: TripleSystem, subset) -> set[int]:
     s = set(subset)
     out: set[int] = set()

@@ -1,5 +1,8 @@
 """Generators: counts, layouts, parameter validation."""
 
+import math
+import time
+
 import pytest
 
 from ltspread import (
@@ -13,6 +16,8 @@ from ltspread import (
     spreading_6p3,
     star_expansion,
 )
+from ltspread.bounds import construction_density
+from ltspread.constructions import _PRIME_BOUND, _is_prime
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11])
@@ -109,6 +114,40 @@ def test_cayley_latin_requires_odd_prime():
     for bad in (2, 4, 9):
         with pytest.raises(OutOfRange, match="cayley_latin requires an odd prime"):
             cayley_latin(bad)
+
+
+def test_is_prime_agrees_with_trial_division_below_10_5():
+    def trial_division(p):
+        return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+    assert [p for p in range(10**5) if _is_prime(p) != trial_division(p)] == []
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        (151, 751, 28351),  # a strong pseudoprime to the bases 2, 3, 5 and 7
+        (149491, 747451, 34233211),  # to the bases 2 to 31
+        (399165290221, 798330580441),  # to the bases 2 to 37
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(factors):
+    assert not _is_prime(math.prod(factors))
+
+
+def test_is_prime_refuses_numbers_past_its_bound():
+    # the bound is itself a strong pseudoprime to every base used
+    assert _is_prime(2**61 - 1)
+    with pytest.raises(OutOfRange, match="primality is decided below"):
+        _is_prime(_PRIME_BOUND)
+
+
+def test_density_of_a_large_prime_is_fast():
+    # trial division took about 9 s on this prime near 10^16
+    started = time.perf_counter()
+    n, m, _ = construction_density(10000000000000061)
+    assert time.perf_counter() - started < 0.1
+    assert (n, m) == (60000000000000369, 500000000000006160000000000018972)
 
 
 def test_from_latin_square_matches_cayley_on_prime_table():

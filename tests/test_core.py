@@ -308,6 +308,15 @@ def test_build_system_array_forms():
     assert_same_index(s, build_system(6, canonical))
     assert rows.flags.writeable and rows.tolist() == canonical
     assert not np.shares_memory(rows, s.triple_array)
+    # a bulk array's errors name triples of Python ints, read off the array
+    with pytest.raises(DuplicatePairCoverage) as exc:
+        build_system(6, np.array([[0, 1, 2], [0, 1, 3]]))
+    assert exc.value.triples == ((0, 1, 2), (0, 1, 3))
+    with pytest.raises(VertexOutOfRange) as exc2:
+        build_system(4, np.array([[0, 1, 2], [0, 3, 4]]))
+    assert exc2.value.triple == (0, 3, 4)
+    culprits = (*exc.value.triples, exc2.value.triple)
+    assert all(type(v) is int for t in culprits for v in t)
     for dtype in (np.int16, np.uint8):
         s = build_system(6, np.array(canonical, dtype=dtype))
         assert_same_index(s, build_system(6, canonical))
@@ -380,6 +389,21 @@ def bose_skolem_without(q, i):
 def test_first_uncovered_pair_is_the_first_uncovered_edge(s):
     edges = s.uncovered_edges()
     assert s._first_uncovered() == (edges[0] if edges else None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_systems, st.randoms(use_true_random=False))
+def test_list_and_array_built_systems_agree(s, rng):
+    # the list goes one triple at a time, in any order; the canonical array
+    # is taken in bulk and builds its triples tuple only when asked
+    listed = [rng.sample(t, 3) for t in s.triples]
+    rng.shuffle(listed)
+    by_list = build_system(s.n, listed)
+    by_array = build_system(s.n, np.array(s.triples, dtype=np.int64).reshape(-1, 3))
+    assert by_array._triples is None
+    assert by_list == by_array and hash(by_list) == hash(by_array)
+    assert by_array.triples == by_list.triples == s.triples
+    assert all(type(v) is int for t in by_array.triples for v in t)
 
 
 def test_index_is_compact():
