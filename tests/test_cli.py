@@ -282,6 +282,18 @@ def test_parse_agrees_on_edge_texts(text):
     assert_parsers_agree(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "lts 1\n9 1\n\xa0\n0 1 2\n",  # blank once the no-break space is stripped
+        "lts 1\n9 1\n\u3000# note\n0 1 2\n",  # a comment after an ideographic space
+        "lts 1\n9 1\n\x1f\n\x1f# note\n0\x1f1 2\x1f\n",  # "\x1f" is whitespace too
+    ],
+)
+def test_parse_agrees_on_lines_of_other_whitespace(text):
+    assert_parsers_agree(text)
+
+
 def test_parse_memory():
     # 19.6 MiB measured with the byte-level line filter, 2.4 MiB of margin; a
     # line-by-line filter peaked at 33.4 MiB, a whole-text regex at 47.7

@@ -143,6 +143,8 @@ def test_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != c
     assert a != (0, 1, 2)
+    # the hash reads the triples, not only n
+    assert hash(a) != hash(build_system(5, [(0, 1, 3)]))
 
 
 def test_has_triple_ignores_entry_order():
