@@ -81,22 +81,22 @@ def _kept_lines(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable
     word = np.r_[False, (b != 32) & (b != 9) & (b != 31) & (b != 10), False]
     # contiguous, as numpy gathers slowly from strided arrays
     start, end = np.flatnonzero(word[1:] != word[:-1]).reshape(-1, 2).T.copy()
+    width = end - start
     first = np.searchsorted(start, starts)
     words = np.diff(first, append=len(start))
     kept = words > 0
     kept[kept] = b[start[first[kept]]] != 35  # "#"
     odd = np.flatnonzero(word[1:-1] & (b - 48 > 9))  # uint8: below "0" wraps past 9
     plain = words == 3
-    plain[np.searchsorted(breaks, np.r_[odd, start[end - start > 18]])] = False
+    plain[np.searchsorted(breaks, np.r_[odd, start[width > 18]])] = False
 
     def line(j: int) -> str:
         return b[starts[j] : ends[j]].tobytes().decode().strip()
 
-    # a line with a non-ASCII byte, which is odd, is not plain
+    # str.strip decides a line with a non-ASCII byte (odd, so never plain)
     for j in set(np.searchsorted(breaks, np.flatnonzero(b > 127)).tolist()):
         kept[j] = line(j)[:1] not in ("", "#")
     number = np.r_[(b[end - 1] - 48).astype(np.int64), 0]  # a spare for take
-    width = end - start
     for k in range(2, min(width.max(initial=0), 18) + 1):  # digit k from the end
         more = np.flatnonzero(width >= k)
         number[more] += (b[end[more] - k] - 48) * np.int64(10 ** (k - 1))
