@@ -5,8 +5,12 @@ covered pair {x, y} lies inside the set and its triple's third vertex z is
 outside, z is added.  The spreading-type properties below all ask whether
 such propagation from small seeds reaches the whole vertex set.
 
-Every closure, from a single closure() query to the brute-force spreading
-scan, runs on one bit-sliced kernel (after Biham, FSE 1997): blocks of
+A single closure() query propagates from a frontier (semi-naive
+evaluation): each round reads only the triples through the vertices that
+joined in the round before, so it reads each triple at most three times,
+and it stops once no vertex joins or every vertex is in.  The verifiers
+close batches of seeds on one bit-sliced kernel (after Biham, FSE 1997),
+where a single seed would use one bit of each 64-bit word.  Blocks of
 seeds become uint64 matrices M, one row per vertex and one bit per seed,
 swept with M[z] |= M[x] & M[y] over all covered pairs until nothing
 changes, on the system's sweep_pairs.  A block holds _BLOCK seeds, or
@@ -18,7 +22,6 @@ expander_deficiency scans every size from 1 up, so it builds each size's
 packed, lex-ordered table from the size below by Pascal's rule (_subsets)
 and sweeps word-aligned slices of it; a size whose table would outgrow
 _PAIR_BYTES gets its blocks built one at a time by the same rule.
-closure() is a block of one seed: O(m) array work per sweep, while
 neighbourhood() looks the O(|S|^2) pairs of its set up in the system's
 sorted pair codes.  Witnesses: seeds go in size-ascending, then
 lexicographic order, and the first failure is the lowest failing bit of
@@ -93,11 +96,31 @@ def neighbourhood(system: TripleSystem, subset: Iterable[int]) -> frozenset[int]
 
 
 def closure(system: TripleSystem, subset: Iterable[int]) -> frozenset[int]:
-    """Least superset of subset with empty neighbourhood: the kernel on a
-    block of one seed."""
-    row = np.array([system._vertices(subset)], dtype=np.intp)
-    m = _close_batch(system.n, row, system.sweep_pairs)
-    return frozenset(np.flatnonzero(_unpack(m, 1)).tolist())
+    """Least superset of subset with empty neighbourhood, by frontier
+    propagation.  A triple can add its third point only in the round after
+    its second point joins, so each round reads only the sweep_pairs groups
+    of the vertices that joined in the round before (group v holds the
+    other two vertices of each triple through v).  It stops when no vertex
+    joins or every vertex is in."""
+    n, (x, y, starts, thirds) = system.n, system.sweep_pairs
+    lo, count = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    lo[thirds], count[thirds] = starts, np.diff(starts, append=len(x))
+    frontier = np.array(system._vertices(subset), dtype=np.intp)
+    inside = np.zeros(n, dtype=bool)
+    inside[frontier] = True
+    size = len(frontier)
+    while frontier.size and size < n:
+        c = count[frontier]
+        at = np.repeat(lo[frontier] - np.cumsum(c) + c, c)  # the groups' pairs
+        at += np.arange(len(at))
+        in_x, in_y = inside[x[at]], inside[y[at]]
+        joined = np.zeros(n, dtype=bool)
+        joined[y[at[in_x & ~in_y]]] = True
+        joined[x[at[in_y & ~in_x]]] = True
+        frontier = np.flatnonzero(joined)
+        inside[frontier] = True
+        size += len(frontier)
+    return frozenset(np.flatnonzero(inside).tolist())
 
 
 # Seeds per kernel block: 2^14 seeds are 256 words (2 KiB) per vertex row.

@@ -105,6 +105,61 @@ def test_closure_lattice_properties():
             assert cl == frozenset(closure_naive(s, sub))
 
 
+@settings(max_examples=80, deadline=None)
+@given(random_systems, st.randoms(use_true_random=False))
+def test_closure_agrees_with_naive_oracle(s, rng):
+    # seeds of every size 0..n (n: the whole vertex set), unsorted, with and
+    # without repeated vertices, and with the vertices in no triple added;
+    # random_systems include systems with no triples at all
+    bare = sorted(set(range(s.n)) - s.span())
+    seeds = [bare]
+    for k in range(s.n + 1):
+        seed = rng.sample(range(s.n), k)
+        repeated = seed + rng.sample(seed, rng.randint(0, k))
+        rng.shuffle(repeated)
+        seeds += [seed, repeated, seed + bare]
+    for seed in seeds:
+        assert closure(s, seed) == frozenset(closure_naive(s, seed))
+
+
+def _rounds(s, seed):
+    """closure(s, seed) and its number of frontier rounds (one np.repeat
+    each)."""
+    with patch.object(np, "repeat", wraps=np.repeat) as spy:
+        return closure(s, seed), spy.call_count
+
+
+def _growing_rounds(s, seed) -> int:
+    """Rounds in which the naive closure of seed grows."""
+    cur, rounds = set(seed), 0
+    while grow := neighbourhood_naive(s, cur):
+        cur, rounds = cur | grow, rounds + 1
+    return rounds
+
+
+def test_closure_stops_once_every_vertex_is_in():
+    s = spreading_6p3(101)
+    seed = (0, 1, 5)
+    assert not s.has_triple(seed)
+    cl, rounds = _rounds(s, seed)
+    assert cl == frozenset(range(609))
+    # the round that brings the last vertices in is the last one
+    assert rounds == _growing_rounds(s, seed) > 1
+
+
+@pytest.mark.parametrize("case", ["triple", "closed-4-set"])
+def test_closure_stops_when_no_vertex_joins(case):
+    if case == "triple":
+        s = spreading_6p3(101)
+        seed = s.triples[1000]
+    else:
+        s, seed = cayley_latin(7), (0, 1, 2, 3)
+    cl, rounds = _rounds(s, seed)
+    assert cl == frozenset(seed) and len(cl) < s.n
+    # one round reads the seed's triples and finds no vertex to add
+    assert rounds == _growing_rounds(s, seed) + 1 == 1
+
+
 def test_is_spreading_on_sts9_both_modes():
     s = bose_skolem(3)
     reduced = is_spreading(s)
@@ -407,3 +462,23 @@ def test_expander_never_builds_a_table_beyond_pair_bytes():
     rep, peak = traced_peak(lambda: expander_deficiency(build_system(600), max_size=2))
     assert rep.per_size_min_neighbourhood == {1: 0, 2: 0}
     assert peak < kernel._PAIR_BYTES
+
+
+def test_closure_memory_is_bounded_by_the_pairs_read():
+    # a round holds about 18 bytes per pair it reads; on spreading_6p3(101)
+    # the largest rounds read up to about 126,000 of its 154,836 pairs
+    s = spreading_6p3(101)
+    rng = random.Random(101)
+    for _ in range(20):
+        q = rng.sample(range(s.n), 3)
+        cl, peak = traced_peak(lambda: closure(s, q))
+        assert cl == frozenset(range(s.n))  # none of these 3-sets is a triple
+        assert peak <= 4 * 2**20
+
+
+def test_closure_memory_on_many_bare_vertices():
+    # per vertex: two intp group offsets and two bool masks, 18 bytes
+    s = build_system(200_000)
+    cl, peak = traced_peak(lambda: closure(s, (0, 1, 2)))
+    assert cl == frozenset({0, 1, 2})
+    assert peak <= 32 * s.n
