@@ -17,7 +17,9 @@ changes, on the system's sweep_pairs.  A block holds _BLOCK seeds, or
 fewer when a pair-indexed sweep temporary (3m rows) or a vertex-indexed
 byte matrix (n rows, a byte per seed) would outgrow _PAIR_BYTES, so memory
 is bounded and no verifier caps n.  The verifiers that scan a single seed
-size unrank their seeds (_combinations) and scatter them into M (_pack).
+size unrank their seeds (_combinations) and scatter them into M (_pack);
+is_spreading first drops each 3-set that a swap (see there) turns into a
+lexicographically smaller one with the same closure.
 expander_deficiency scans every size from 1 up, so it builds each size's
 packed, lex-ordered table from the size below by Pascal's rule (_subsets)
 and sweeps word-aligned slices of it; a size whose table would outgrow
@@ -203,12 +205,21 @@ def is_spreading(
     """Check that every nontrivial seed closes to the whole vertex set.
 
     Nontrivial means size at least 3 and not itself a triple of the system.
-    Reduced mode batch-closes only non-triple 3-subsets, which is equivalent
-    to the full definition: closure is monotone, and by linearity at most
-    one 3-subset of any 4 vertices is a triple, so every failing set of size
-    >= 4 contains a failing non-triple 3-subset.  Brute-force mode feeds
-    all non-triple subsets of size >= 3 to the same kernel, size by size,
-    and requires n <= 20.
+    Reduced mode checks only non-triple 3-subsets, which is equivalent to
+    the full definition: closure is monotone, and by linearity at most one
+    3-subset of any 4 vertices is a triple, so every failing set of size
+    >= 4 contains a failing non-triple 3-subset.  Of those it batch-closes
+    only the swap-minimal ones.  Swap lemma: if S = {x, y, z} holds a
+    covered pair {x, y} whose third point w is outside S, then {x, z, w}
+    and {y, z, w} are non-triples with the closure of S, so a 3-set that
+    such a swap makes lexicographically smaller is never the first failing
+    one.  The kept x < y < z have {x, y} uncovered or with third point
+    above y, and {x, z} and {y, z} each uncovered or with third point above
+    z; this drops every triple too.  checked_count counts the non-triple
+    3-subsets decided, up to and including the witness (its rank among
+    them), not the closures run: C(n, 3) - m when the system is spreading.
+    Brute-force mode feeds all non-triple subsets of size >= 3 to the same
+    kernel, size by size, and requires n <= 20.
     """
     if mode not in ("reduced", "brute_force"):
         raise OutOfRange(f"unknown mode {mode!r}")
@@ -217,14 +228,30 @@ def is_spreading(
         raise OutOfRange(f"spreading needs at least 3 vertices, got n={n}")
     if mode == "brute_force" and n > 20:
         raise OutOfRange(f"brute_force scans all subsets; n={n} exceeds 20")
-    sizes = range(3, n + 1 if mode == "brute_force" else 4)
     block = _block_size(system)
-    blocks = (
-        rows[~system._are_triples(rows)] if k == 3 else rows
-        for k in sizes
-        for rows in _combinations(n, k, block)
-    )
-    return _scan(system, blocks, frozenset)
+    if mode == "brute_force":
+        blocks = (
+            rows[~system._are_triples(rows)] if k == 3 else rows
+            for k in range(3, n + 1)
+            for rows in _combinations(n, k, block)
+        )
+        return _scan(system, blocks, frozenset)
+    blocks = (rows[_swap_minimal(system, rows)] for rows in _combinations(n, 3, block))
+    found, triples = _scan(system, blocks, tuple), _triple_ranks(n, system.triple_array)
+    if found.holds:
+        return PropertyVerdict(True, None, math.comb(n, 3) - len(triples))
+    rank = int(_triple_ranks(n, np.array([found.witness]))[0])
+    count = rank - int(np.searchsorted(triples, rank)) + 1  # among the non-triples
+    return PropertyVerdict(False, frozenset(found.witness), count)
+
+
+def _swap_minimal(system: TripleSystem, rows: np.ndarray) -> np.ndarray:
+    """Which sorted 3-subset rows x < y < z no swap lowers (see is_spreading):
+    the third point of {x, y} is above y, those of {x, z} and {y, z} are
+    above z, and -1 (uncovered) passes each."""
+    n, (x, y, z) = system.n, rows.T
+    t = system._third_points(np.concatenate((x * n + y, x * n + z, y * n + z)))
+    return ((t < 0) | (t > np.concatenate((y, z, z)))).reshape(3, -1).all(axis=0)
 
 
 def is_weakly_spreading(system: TripleSystem) -> PropertyVerdict:
@@ -332,10 +359,10 @@ def _subsets(
     return out
 
 
-def _triple_ranks(system: TripleSystem) -> np.ndarray:
-    """Lexicographic ranks of the triples among the 3-subsets, ascending."""
-    n = system.n
-    x, y, z = system.triple_array.T
+def _triple_ranks(n: int, rows: np.ndarray) -> np.ndarray:
+    """Lexicographic ranks of sorted 3-subset rows of range(n), such as a
+    system's triples (ascending, as their rows are), among the 3-subsets."""
+    x, y, z = rows.T
     # 3-subsets with least vertex < x, then {x, y', z'} with y' < y, then z
     least = math.comb(n, 3) - (n - x) * (n - x - 1) * (n - x - 2) // 6
     middle = ((n - 1 - x) * (n - 2 - x) - (n - y) * (n - y - 1)) // 2
@@ -376,7 +403,7 @@ def expander_deficiency(
             )
 
     pairs, block = system.sweep_pairs, _block_size(system)
-    triples = _triple_ranks(system) if max_size >= 3 else None
+    triples = _triple_ranks(n, system.triple_array) if max_size >= 3 else None
     table, level = None, 0  # table packs all level-sets, the largest size built
     per_size: dict[int, int] = {}
     attainers: list[tuple[int, int, int]] = []  # (deficiency, size, lex rank)

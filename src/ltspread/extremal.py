@@ -17,6 +17,7 @@ second triple) whose three pairs are all uncovered.
 
 from __future__ import annotations
 
+import heapq
 import operator
 from dataclasses import dataclass
 from itertools import combinations, count
@@ -138,23 +139,42 @@ def ordering_witness(system: TripleSystem) -> tuple[Triple, ...] | None:
     only at a closed set.  So the first intersecting pair, in lexicographic
     order, that passes this test leads, and each later place takes the
     first remaining triple, in lexicographic order, that meets the covered
-    set in two vertices: at most C(m, 2) closure calls.  Systems with at
-    most one triple return their trivial ordering.
+    set in two vertices: at most C(m, 2) closure calls.  Placement keeps a
+    count of covered points per triple, bumped through the triples of each
+    newly covered vertex, and a min-heap of the triple indices that reach
+    two, so no place rescans the triples left.  Systems with at most one
+    triple return their trivial ordering.
     """
     tris = system.triples
     if len(tris) <= 1:
         return tris
     span = system.span()
-    for t1, t2 in combinations(tris, 2):
-        if set(t1) & set(t2) and closure(system, t1 + t2) >= span:
+    for i, j in combinations(range(len(tris)), 2):
+        if set(tris[i]) & set(tris[j]) and closure(system, tris[i] + tris[j]) >= span:
             break
     else:
         return None
-    order, covered = [t1, t2], set(t1 + t2)
-    rest = [t for t in tris if t not in order]
-    while rest:
-        t = next(t for t in rest if len(covered.intersection(t)) >= 2)
-        rest.remove(t)
-        order.append(t)
-        covered.update(t)
+    through: dict[int, list[int]] = {}  # the triples through each vertex
+    for k, t in enumerate(tris):
+        for v in t:
+            through.setdefault(v, []).append(k)
+    hits = [0] * len(tris)  # the covered points of each triple
+    ready: list[int] = []  # a min-heap of the triples with two covered points
+    order: list[Triple] = []
+    covered: set[int] = set()
+
+    def place(k: int) -> None:
+        order.append(tris[k])
+        for v in set(tris[k]).difference(covered):
+            covered.add(v)
+            for other in through[v]:
+                hits[other] += 1
+                if hits[other] == 2:
+                    heapq.heappush(ready, other)
+
+    place(i)
+    place(j)
+    while len(order) < len(tris):
+        if (k := heapq.heappop(ready)) not in (i, j):  # both were pushed too
+            place(k)
     return tuple(order)

@@ -13,7 +13,7 @@ import random
 import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations, count, permutations
+from itertools import combinations, count
 
 from hypothesis import strategies as st
 
@@ -278,13 +278,26 @@ def is_valid_ordering(sequence) -> bool:
 def ordering_naive(system: TripleSystem):
     """The lexicographically least index permutation of the triples whose
     ordering passes is_valid_ordering, as a tuple of triples, or None when
-    no permutation does: every permutation is tried in order."""
+    no permutation does.  The overlap conditions hold for an ordering
+    exactly when they hold for each of its prefixes, so a depth-first search
+    over index prefixes in lexicographic order, cut at the first prefix that
+    fails, meets the passing permutations in the order that trying every
+    permutation in turn would."""
     tris = system.triples
-    for perm in permutations(range(len(tris))):
-        ordering = tuple(tris[i] for i in perm)
-        if is_valid_ordering(ordering):
-            return ordering
-    return None
+
+    def extend(order, covered, left):
+        if not left:
+            return tuple(order)
+        need = min(len(order), 2)  # T2 needs one shared vertex, later ones two
+        for i in left:
+            if len(covered.intersection(tris[i])) >= need:
+                rest = [j for j in left if j != i]
+                found = extend(order + [tris[i]], covered | set(tris[i]), rest)
+                if found is not None:
+                    return found
+        return None
+
+    return extend([], set(), list(range(len(tris))))
 
 
 def tau_slope_naive(z: Fraction) -> Fraction:

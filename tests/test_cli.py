@@ -282,6 +282,84 @@ def test_parse_agrees_on_edge_texts(text):
     assert_parsers_agree(text)
 
 
+BIG = 2**64
+SP11 = serialize_system(spreading_6p3(11)).splitlines()  # 672 triple lines
+
+
+def edited(edits, lines=SP11):
+    """lines as text, with line i (0-based) replaced by a function of it."""
+    out = list(lines)
+    for i, edit in edits.items():
+        out[i] = " ".join(map(str, edit(*map(int, out[i].split()))))
+    return "\n".join(out) + "\n"
+
+
+def past_int64(x, y, z):
+    return (x, y, z + BIG)
+
+
+def re_cover(x, y, z):  # a pair {x or y, z + 1} of a later line, here too
+    return (x, y, z + 1)
+
+
+def swap(x, y, z):
+    return (x, z, y)
+
+
+VOR, DUP = VertexOutOfRange, DuplicatePairCoverage
+
+
+@pytest.mark.parametrize(
+    "edits, error",
+    [
+        pytest.param({2: past_int64}, VOR, id="first"),
+        pytest.param({340: past_int64}, VOR, id="middle"),
+        pytest.param({673: past_int64}, VOR, id="last"),
+        pytest.param({340: past_int64, 500: past_int64}, VOR, id="two"),
+        pytest.param({2: lambda x, y, z: (-BIG, y, z)}, VOR, id="negative"),
+        pytest.param({100: swap, 340: past_int64}, ParseError, id="grammar-before"),
+        pytest.param({340: past_int64, 500: swap}, ParseError, id="grammar-after"),
+        pytest.param(
+            {340: past_int64, 341: lambda x, y, z: (x - 1, y, z)},
+            ParseError,
+            id="order-after",
+        ),
+        pytest.param({340: lambda x, y, z: (0, 1, BIG)}, ParseError, id="order-at"),
+        pytest.param(
+            {339: lambda x, y, z: (x, y + 1, z + BIG), 340: past_int64},
+            ParseError,
+            id="order-in-tail",
+        ),
+        pytest.param({101: re_cover, 340: past_int64}, DUP, id="duplicate-before"),
+        pytest.param({340: past_int64, 501: re_cover}, VOR, id="duplicate-after"),
+        pytest.param(
+            {100: lambda x, y, z: (x, y, 69), 340: past_int64}, VOR, id="range-before"
+        ),
+        pytest.param(
+            {1: lambda n, m: (10**10, m), 340: past_int64}, VOR, id="n-too-large"
+        ),
+        pytest.param(
+            {340: lambda x, y, z: (x, y, f"{z + BIG}x")}, ParseError, id="not-a-number"
+        ),
+    ],
+)
+def test_parse_of_a_vertex_past_int64_agrees(edits, error):
+    assert type(assert_parsers_agree(edited(edits))) is error
+
+
+def test_a_vertex_past_int64_leaves_the_rows_before_it_in_int64():
+    text = edited({340: past_int64})
+    wrapped = core._normalize_triple
+    with patch.object(cli, "_canonical", wraps=cli._canonical) as canonical:
+        with patch.object(core, "_normalize_triple", wraps=wrapped) as per_triple:
+            with pytest.raises(VertexOutOfRange, match=r"^line 341: "):
+                parse_system(text)
+    # rows 0..337 in int64; row 338, the one past int64, on, with the row before
+    rows = [call.args[0] for call in canonical.call_args_list]
+    assert [(a.dtype, len(a)) for a in rows] == [(np.int64, 338), (object, 672 - 337)]
+    assert not per_triple.called
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -421,6 +421,81 @@ def test_kernel_deep_failure(block):
     assert v.checked_count == 4389
 
 
+def relabelled_cut(system, rng):
+    """system relabelled at random, less one random triple."""
+    perm = rng.sample(range(system.n), system.n)
+    triples = [[perm[v] for v in t] for t in system.triples]
+    del triples[rng.randrange(len(triples))]
+    return build_system(system.n, triples)
+
+
+# Steiner and maximal random linear systems less one triple: the cut splits
+# swap classes, and the failures sit deep in the scan, past many blocks of 64
+cut_systems = st.builds(
+    relabelled_cut,
+    st.sampled_from([bose_skolem(3), bose_skolem(5)])
+    | st.builds(
+        lambda seed, n: random_linear_system(random.Random(seed), n, 10.0),
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 12),
+    ),
+    st.randoms(use_true_random=False),
+)
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(cut_systems, random_systems))
+def test_swap_filter_agrees_with_naive_oracle(block, s):
+    with patch.object(kernel, "_BLOCK", block):
+        v = is_spreading(s)
+    holds, witness = spreading_naive(s)
+    tset = set(s.triples)
+    scan = (frozenset(c) for c in combinations(range(s.n), 3) if c not in tset)
+    assert (v.holds, v.witness) == (holds, witness)
+    assert v.checked_count == first_failure_count(scan, witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(cut_systems, random_systems))
+def test_swap_filter_keeps_the_sets_no_swap_lowers(s):
+    # swapping a point of S = {x, y, z} for the third point w of a covered
+    # pair inside S keeps the closure; the filter keeps S exactly when S is
+    # no triple and no such swap is lexicographically lower
+    rows = np.array(list(combinations(range(s.n), 3)))
+    want = []
+    for row in rows.tolist():
+        lower = s.has_triple(row)
+        for a, b in combinations(row, 2):
+            w = s.third_point(a, b)
+            if w is not None and w not in row:
+                lower |= any(
+                    sorted({w, *row} - {c}) < row for c in (a, b)
+                )
+        want.append(not lower)
+    assert kernel._swap_minimal(s, rows).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "p, drop, want",
+    [(11, None, (True, None, 51722)), (17, 800, (False, {1, 54, 66}, 9267))],
+)
+def test_is_spreading_at_scale(p, drop, want):
+    s = spreading_6p3(p)
+    if drop is not None:
+        s = build_system(s.n, s.triples[:drop] + s.triples[drop + 1 :])
+    v = is_spreading(s)
+    assert (v.holds, v.witness, v.checked_count) == want
+
+
+def test_swap_filter_closes_only_swap_minimal_seeds():
+    # 13,902 non-triple 3-sets, of which the kernel closes 1,428
+    with patch.object(kernel, "_close_batch", wraps=kernel._close_batch) as spy:
+        v = is_spreading(spreading_6p3(7))
+    assert (v.holds, v.checked_count) == (True, comb(45, 3) - 288)
+    assert sum(len(call.args[1]) for call in spy.call_args_list) == 1428
+
+
 @pytest.mark.parametrize("block", BLOCK_SIZES)
 def test_strong_connectivity_stops_at_closed_4set(block):
     # {0,1,2,3} is closed in cayley_latin(7): no side can be smaller, so the

@@ -1,11 +1,13 @@
 """Extremal search and ordering certificates."""
 
+import heapq
 from itertools import combinations
 from math import comb
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltspread import (
     BudgetExceeded,
@@ -248,6 +250,28 @@ def test_ordering_implies_span_bound():
 @given(random_systems.filter(lambda s: len(s.triples) <= 7))
 def test_ordering_witness_agrees_with_brute_force(system):
     assert ordering_witness(system) == ordering_naive(system)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([bose_skolem(5), spreading_6p3(3), crowning(spreading_6p3(3))]),
+    st.randoms(use_true_random=False),
+)
+def test_ordering_witness_agrees_with_brute_force_when_relabelled(system, rng):
+    perm = rng.sample(range(system.n), system.n)
+    s = build_system(system.n, [[perm[v] for v in t] for t in system.triples])
+    assert ordering_witness(s) == ordering_naive(s)
+
+
+def test_ordering_witness_places_each_triple_once():
+    # 672 triples: a rescan of the unplaced triples per place made 10,488
+    # set intersections; the heap takes each triple in once, when it
+    # meets the covered set in two vertices
+    s = spreading_6p3(11)
+    with patch.object(heapq, "heappush", wraps=heapq.heappush) as push:
+        ordering = ordering_witness(s)
+    assert ordering == ordering_naive(s)
+    assert push.call_count == len(s.triples)
 
 
 def test_ordering_refuted_with_at_most_one_closure_per_pair():
