@@ -286,9 +286,9 @@ BIG = 2**64
 SP11 = serialize_system(spreading_6p3(11)).splitlines()  # 672 triple lines
 
 
-def edited(edits, lines=SP11):
-    """lines as text, with line i (0-based) replaced by a function of it."""
-    out = list(lines)
+def edited(edits):
+    """SP11 as text, with line i (0-based) replaced by a function of it."""
+    out = list(SP11)
     for i, edit in edits.items():
         out[i] = " ".join(map(str, edit(*map(int, out[i].split()))))
     return "\n".join(out) + "\n"
