@@ -123,7 +123,10 @@ def parse_system(text: str) -> TripleSystem:
     the first line that breaks the grammar, whose checks run in this order
     on a line: three integers, increasing, above the line before.  Only then
     does build_system validate the system; its VertexOutOfRange and
-    DuplicatePairCoverage are re-raised with the offending lines.
+    DuplicatePairCoverage are re-raised with the offending lines.  Rows are
+    int64 up to the first with a vertex past int64; that row and the later
+    ones are checked as Python ints, and if the int64 rows build, that row
+    is the first defect.
     """
     numbers, plain, values, row = _kept_lines(text)
     if not len(numbers):
