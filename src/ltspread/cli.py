@@ -105,14 +105,17 @@ def _kept_lines(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable
     return kept + 1, plain[kept], values, lambda i: line(kept[i])
 
 
-def _read_lines(rows: list[str]) -> list[tuple[int, ...]]:
+def _read_lines(rows: list[str]) -> np.ndarray:
     """Lines read by token, up to the first that is not three integers."""
     out = []
     for parts in map(str.split, rows):
         if len(parts) != 3 or not all(p.removeprefix("-").isdecimal() for p in parts):
             break
         out.append(tuple(map(int, parts)))
-    return out
+    try:  # left to itself, numpy would pick float64 for a vertex past int64
+        return np.array(out, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:  # object dtype keeps such a vertex exact
+        return np.array(out, dtype=object).reshape(-1, 3)
 
 
 def parse_system(text: str) -> TripleSystem:
@@ -123,10 +126,7 @@ def parse_system(text: str) -> TripleSystem:
     the first line that breaks the grammar, whose checks run in this order
     on a line: three integers, increasing, above the line before.  Only then
     does build_system validate the system; its VertexOutOfRange and
-    DuplicatePairCoverage are re-raised with the offending lines.  Rows are
-    int64 up to the first with a vertex past int64; that row and the later
-    ones are checked as Python ints, and if the int64 rows build, that row
-    is the first defect.
+    DuplicatePairCoverage are re-raised with the offending lines.
     """
     numbers, plain, values, row = _kept_lines(text)
     if not len(numbers):
@@ -146,42 +146,27 @@ def parse_system(text: str) -> TripleSystem:
     if (found := len(numbers) - 2) != m:
         raise ParseError(f"expected {m} triple lines, found {found}", int(numbers[-1]))
     triples, other = values[2:], np.flatnonzero(~plain[2:])
-    tail = np.empty((0, 3), dtype=object)  # the rows from the first past int64 on
     if other.size:  # the rows up to the first line that is not three integers
         read = _read_lines([row(i) for i in (other + 2).tolist()])
-        triples = triples[: np.r_[other, m][len(read)]]
-        fits = (-(2**63) <= min(t) and max(t) < 2**63 for t in read)
-        big = next((k for k, ok in enumerate(fits) if not ok), len(read))
-        triples[other[:big]] = np.array(read[:big], dtype=np.int64).reshape(-1, 3)
-        if big < len(read):  # the rows from that one on stay Python ints
-            tail, triples = triples[other[big] :].astype(object), triples[: other[big]]
-            tail[other[big : len(read)] - len(triples)] = read[big:]
+        triples = triples[: np.r_[other, m][len(read)]].astype(read.dtype, copy=False)
+        triples[other[: len(read)]] = read
     increasing, ordered = _canonical(triples)
-    if len(tail):  # checked against the last int64 row, if any
-        more = _canonical(np.concatenate((triples[-1:], tail)))
-        increasing = np.r_[increasing, more[0][-len(tail) :]]
-        ordered = np.r_[ordered, more[1][-len(tail) :]]
     if (bad := np.flatnonzero(~(increasing & ordered))).size:
         i = int(bad[0])
-        t = (triples[i] if i < len(triples) else tail[i - len(triples)]).tolist()
-        t, lineno = tuple(t), int(numbers[i + 2])
+        t, lineno = tuple(triples[i].tolist()), int(numbers[i + 2])
         if not increasing[i]:
             raise ParseError(f"triple {t} is not strictly increasing", lineno)
         raise ParseError(f"triple {t} breaks lexicographic line order", lineno)
-    if (i := len(triples) + len(tail)) < m:
+    if (i := len(triples)) < m:
         got, lineno = row(i + 2), int(numbers[i + 2])
         raise ParseError(f"triple line must be three integers, got {got!r}", lineno)
 
     def line_of(t: tuple[int, int, int]) -> int:
-        # the rows are sorted and distinct, and row i came from kept line i + 2;
-        # tail[0] sorts above every int64 row, so it gets its own line too
+        # the rows are sorted and distinct, and row i came from kept line i + 2
         return int(numbers[bisect_left(triples, t, key=tuple) + 2])
 
     try:
-        system = build_system(n, triples)
-        if len(tail):  # a vertex past int64 is outside [0, n) for every n
-            raise VertexOutOfRange("", tuple(tail[0].tolist()))
-        return system
+        return build_system(n, triples)
     except VertexOutOfRange as exc:
         if (t := exc.triple) is None:
             raise  # the vertex count itself is out of range

@@ -237,12 +237,14 @@ def is_spreading(
         )
         return _scan(system, blocks, frozenset)
     blocks = (rows[_swap_minimal(system, rows)] for rows in _combinations(n, 3, block))
-    found, triples = _scan(system, blocks, tuple), _triple_ranks(n, system.triple_array)
+    found, triples = _scan(system, blocks, tuple), system.triple_array
     if found.holds:
         return PropertyVerdict(True, None, math.comb(n, 3) - len(triples))
-    rank = int(_triple_ranks(n, np.array([found.witness]))[0])
-    count = rank - int(np.searchsorted(triples, rank)) + 1  # among the non-triples
-    return PropertyVerdict(False, frozenset(found.witness), count)
+    x, y, z = found.witness  # its lex rank, in Python ints, which no n wraps
+    rank = math.comb(n, 3) - math.comb(n - x, 3) + math.comb(n - 1 - x, 2)
+    rank += z - y - 1 - math.comb(n - y, 2)
+    below = bisect.bisect_left(triples, found.witness, key=tuple)  # triples before it
+    return PropertyVerdict(False, frozenset(found.witness), rank - below + 1)
 
 
 def _swap_minimal(system: TripleSystem, rows: np.ndarray) -> np.ndarray:
@@ -359,10 +361,10 @@ def _subsets(
     return out
 
 
-def _triple_ranks(n: int, rows: np.ndarray) -> np.ndarray:
-    """Lexicographic ranks of sorted 3-subset rows of range(n), such as a
-    system's triples (ascending, as their rows are), among the 3-subsets."""
-    x, y, z = rows.T
+def _triple_ranks(system: TripleSystem) -> np.ndarray:
+    """Lexicographic ranks of the triples among the 3-subsets, ascending."""
+    n = system.n
+    x, y, z = system.triple_array.T
     # 3-subsets with least vertex < x, then {x, y', z'} with y' < y, then z
     least = math.comb(n, 3) - (n - x) * (n - x - 1) * (n - x - 2) // 6
     middle = ((n - 1 - x) * (n - 2 - x) - (n - y) * (n - y - 1)) // 2
@@ -403,7 +405,7 @@ def expander_deficiency(
             )
 
     pairs, block = system.sweep_pairs, _block_size(system)
-    triples = _triple_ranks(n, system.triple_array) if max_size >= 3 else None
+    triples = _triple_ranks(system) if max_size >= 3 else None
     table, level = None, 0  # table packs all level-sets, the largest size built
     per_size: dict[int, int] = {}
     attainers: list[tuple[int, int, int]] = []  # (deficiency, size, lex rank)

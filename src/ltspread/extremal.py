@@ -17,7 +17,6 @@ second triple) whose three pairs are all uncovered.
 
 from __future__ import annotations
 
-import heapq
 import operator
 from dataclasses import dataclass
 from itertools import combinations, count
@@ -145,6 +144,8 @@ def ordering_witness(system: TripleSystem) -> tuple[Triple, ...] | None:
     two, so no place rescans the triples left.  Systems with at most one
     triple return their trivial ordering.
     """
+    import heapq  # here, as no lts command places triples
+
     tris = system.triples
     if len(tris) <= 1:
         return tris

@@ -281,23 +281,31 @@ def ordering_naive(system: TripleSystem):
     no permutation does.  The overlap conditions hold for an ordering
     exactly when they hold for each of its prefixes, so a depth-first search
     over index prefixes in lexicographic order, cut at the first prefix that
-    fails, meets the passing permutations in the order that trying every
-    permutation in turn would."""
+    is_valid_ordering rejects, meets the passing permutations in the order
+    that trying every permutation in turn would.  The search keeps its own
+    stack: tried[d] is the last index tried at depth d."""
     tris = system.triples
-
-    def extend(order, covered, left):
-        if not left:
-            return tuple(order)
-        need = min(len(order), 2)  # T2 needs one shared vertex, later ones two
-        for i in left:
-            if len(covered.intersection(tris[i])) >= need:
-                rest = [j for j in left if j != i]
-                found = extend(order + [tris[i]], covered | set(tris[i]), rest)
-                if found is not None:
-                    return found
-        return None
-
-    return extend([], set(), list(range(len(tris))))
+    order, tried = [], [-1]
+    while len(order) < len(tris):
+        prefix, used = [tris[i] for i in order], set(order)
+        nxt = next(
+            (
+                i
+                for i in range(tried[-1] + 1, len(tris))
+                if i not in used and is_valid_ordering(prefix + [tris[i]])
+            ),
+            None,
+        )
+        if nxt is None:  # no index extends this prefix: step back
+            tried.pop()
+            if not order:
+                return None
+            order.pop()
+            continue
+        tried[-1] = nxt
+        order.append(nxt)
+        tried.append(-1)
+    return tuple(tris[i] for i in order)
 
 
 def tau_slope_naive(z: Fraction) -> Fraction:

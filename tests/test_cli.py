@@ -347,19 +347,6 @@ def test_parse_of_a_vertex_past_int64_agrees(edits, error):
     assert type(assert_parsers_agree(edited(edits))) is error
 
 
-def test_a_vertex_past_int64_leaves_the_rows_before_it_in_int64():
-    text = edited({340: past_int64})
-    wrapped = core._normalize_triple
-    with patch.object(cli, "_canonical", wraps=cli._canonical) as canonical:
-        with patch.object(core, "_normalize_triple", wraps=wrapped) as per_triple:
-            with pytest.raises(VertexOutOfRange, match=r"^line 341: "):
-                parse_system(text)
-    # rows 0..337 in int64; row 338, the one past int64, on, with the row before
-    rows = [call.args[0] for call in canonical.call_args_list]
-    assert [(a.dtype, len(a)) for a in rows] == [(np.int64, 338), (object, 672 - 337)]
-    assert not per_triple.called
-
-
 @pytest.mark.parametrize(
     "text",
     [

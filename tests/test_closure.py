@@ -488,6 +488,13 @@ def test_is_spreading_at_scale(p, drop, want):
     assert (v.holds, v.witness, v.checked_count) == want
 
 
+def test_is_spreading_counts_past_int64_ranks():
+    # n^3 passes 2^63 at n = 2,097,152, so int64 lex ranks would wrap here;
+    # the witness is the second 3-set and the only triple lies below it
+    v = is_spreading(build_system(2_200_000, [(0, 1, 2)]))
+    assert (v.holds, v.witness, v.checked_count) == (False, {0, 1, 3}, 1)
+
+
 def test_swap_filter_closes_only_swap_minimal_seeds():
     # 13,902 non-triple 3-sets, of which the kernel closes 1,428
     with patch.object(kernel, "_close_batch", wraps=kernel._close_batch) as spy:
