@@ -15,9 +15,11 @@ seeds become uint64 matrices M, one row per vertex and one bit per seed,
 swept with M[z] |= M[x] & M[y] over all covered pairs until nothing
 changes, on the system's sweep_pairs.  A block holds _BLOCK seeds, or
 fewer when a pair-indexed sweep temporary (3m rows) or a vertex-indexed
-byte matrix (n rows, a byte per seed) would outgrow _PAIR_BYTES, so memory
-is bounded and no verifier caps n.  The verifiers that scan a single seed
-size unrank their seeds (_combinations) and scatter them into M (_pack);
+byte matrix (n rows, a byte per seed) would outgrow _PAIR_BYTES, which
+bounds memory up to about 130,000 vertices and 350,000 triples.  Seed ranks
+are int64, which caps spreading at n = 3,810,779 and strong connectivity
+at n = 121,977.  The verifiers that scan a single seed size unrank their
+seeds (_combinations; _rank inverts it) and scatter them into M (_pack);
 is_spreading first drops each 3-set that a swap (see there) turns into a
 lexicographically smaller one with the same closure.
 expander_deficiency scans every size from 1 up, so it builds each size's
@@ -36,7 +38,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Literal
+from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -148,8 +150,9 @@ def _combinations(n: int, k: int, block: int, first: int = 0) -> Iterator[np.nda
     of up to block rows, unranked by the combinatorial number system: the
     subset of rank r is {n - 1 - c_j}, where C(n, k) - 1 - r = sum_j
     C(c_j, k - j) greedily."""
+    if (total := math.comb(n, k)) - 1 > np.iinfo(np.int64).max:
+        raise OutOfRange(f"C({n}, {k}) seeds pass the int64 ranks of the scan")
     table = [np.array([math.comb(c, k - j) for c in range(n)]) for j in range(k)]
-    total = math.comb(n, k)
     for start in range(first, total, block):
         left = total - 1 - np.arange(start, min(start + block, total))
         c = np.empty((len(left), k), dtype=np.intp)
@@ -157,6 +160,13 @@ def _combinations(n: int, k: int, block: int, first: int = 0) -> Iterator[np.nda
             c[:, j] = np.searchsorted(t, left, side="right") - 1
             left -= t[c[:, j]]
         yield n - 1 - c
+
+
+def _rank(n: int, row: Sequence[int]) -> int:
+    """Lexicographic rank of a sorted subset of range(n), in Python ints."""
+    k = len(row)
+    left = sum(math.comb(n - 1 - v, k - j) for j, v in enumerate(row))
+    return math.comb(n, k) - 1 - left
 
 
 def _pack(n: int, rows: np.ndarray) -> np.ndarray:
@@ -240,11 +250,9 @@ def is_spreading(
     found, triples = _scan(system, blocks, tuple), system.triple_array
     if found.holds:
         return PropertyVerdict(True, None, math.comb(n, 3) - len(triples))
-    x, y, z = found.witness  # its lex rank, in Python ints, which no n wraps
-    rank = math.comb(n, 3) - math.comb(n - x, 3) + math.comb(n - 1 - x, 2)
-    rank += z - y - 1 - math.comb(n - y, 2)
     below = bisect.bisect_left(triples, found.witness, key=tuple)  # triples before it
-    return PropertyVerdict(False, frozenset(found.witness), rank - below + 1)
+    rank = _rank(n, found.witness) - below
+    return PropertyVerdict(False, frozenset(found.witness), rank + 1)
 
 
 def _swap_minimal(system: TripleSystem, rows: np.ndarray) -> np.ndarray:
@@ -361,16 +369,6 @@ def _subsets(
     return out
 
 
-def _triple_ranks(system: TripleSystem) -> np.ndarray:
-    """Lexicographic ranks of the triples among the 3-subsets, ascending."""
-    n = system.n
-    x, y, z = system.triple_array.T
-    # 3-subsets with least vertex < x, then {x, y', z'} with y' < y, then z
-    least = math.comb(n, 3) - (n - x) * (n - x - 1) * (n - x - 2) // 6
-    middle = ((n - 1 - x) * (n - 2 - x) - (n - y) * (n - y - 1)) // 2
-    return least + middle + z - y - 1
-
-
 def expander_deficiency(
     system: TripleSystem,
     max_size: int | None = None,
@@ -405,7 +403,8 @@ def expander_deficiency(
             )
 
     pairs, block = system.sweep_pairs, _block_size(system)
-    triples = _triple_ranks(system) if max_size >= 3 else None
+    rows = system.triple_array.tolist() if max_size >= 3 else []
+    triples = np.array([_rank(n, t) for t in rows], int)  # ascending, as rows are
     table, level = None, 0  # table packs all level-sets, the largest size built
     per_size: dict[int, int] = {}
     attainers: list[tuple[int, int, int]] = []  # (deficiency, size, lex rank)

@@ -772,6 +772,12 @@ def lts_process(argv, feed=None):
             1,
             id="steiner-n1500",
         ),
+        pytest.param(
+            "lts 1\n130000 1\n0 1 2\n",
+            ["check", *STDIN, "--property", "strong-connectivity"],
+            2,
+            id="strong-n130000",
+        ),
     ],
 )
 def test_lts_processes(upstream, argv, code):

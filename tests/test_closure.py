@@ -495,6 +495,35 @@ def test_is_spreading_counts_past_int64_ranks():
     assert (v.holds, v.witness, v.checked_count) == (False, {0, 1, 3}, 1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rank_inverts_combinations(data):
+    n = data.draw(st.integers(0, 30))
+    k = data.draw(st.integers(0, n))
+    r = data.draw(st.integers(0, comb(n, k) - 1))
+    assert kernel._rank(n, next(kernel._combinations(n, k, 1, r))[0]) == r
+
+
+def test_rank_past_int64_products():
+    # (n - x)^3 passes 2^63 at these n, where int64 rank formulas wrap
+    assert kernel._rank(2_200_000, (0, 1, 3)) == 1
+    last = (2_999_997, 2_999_998, 2_999_999)
+    assert kernel._rank(3_000_000, last) == 4499995500000999999
+    assert comb(3_000_000, 3) - 1 == 4499995500000999999
+
+
+def test_combinations_stop_at_int64_ranks():
+    # C(121_977, 4) - 1 is the largest 4-subset rank inside int64
+    last = comb(121_977, 4) - 1
+    assert next(kernel._combinations(121_977, 4, 1, last)).tolist() == [
+        [121_973, 121_974, 121_975, 121_976]
+    ]
+    with pytest.raises(OutOfRange, match=r"C\(121978, 4\)"):
+        is_strongly_connected(build_system(121_978, [(0, 1, 2)]))
+    with pytest.raises(OutOfRange, match=r"C\(3810780, 3\)"):
+        is_spreading(build_system(3_810_780, [(0, 1, 2)]))
+
+
 def test_swap_filter_closes_only_swap_minimal_seeds():
     # 13,902 non-triple 3-sets, of which the kernel closes 1,428
     with patch.object(kernel, "_close_batch", wraps=kernel._close_batch) as spy:
