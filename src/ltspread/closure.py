@@ -152,11 +152,24 @@ def _combinations(n: int, k: int, block: int, first: int = 0) -> Iterator[np.nda
     C(c_j, k - j) greedily."""
     if (total := math.comb(n, k)) - 1 > np.iinfo(np.int64).max:
         raise OutOfRange(f"C({n}, {k}) seeds pass the int64 ranks of the scan")
-    table = [np.array([math.comb(c, k - j) for c in range(n)]) for j in range(k)]
+    if not total:  # k > n
+        return
+    # C(c, 1) = c, then Pascal's rule: C(c, r) is the sum of C(i, r - 1) over
+    # i < c.  The greedy never picks an entry above total - 1, so a table of
+    # r >= 2 whose last entry, C(n - 1, r), passes total stops at total.  Its
+    # sums are exact up to the first that passes total, which may wrap int64.
+    tables = [np.arange(n, dtype=np.int64)][:k]
+    for r in range(2, k + 1):
+        t = np.cumsum(tables[-1])
+        t -= tables[-1]
+        if math.comb(n - 1, r) > total:
+            t[np.flatnonzero((t < 0) | (t > total))[0] :] = total
+        tables.append(t)
+    tables.reverse()  # table j holds C(c, k - j)
     for start in range(first, total, block):
         left = total - 1 - np.arange(start, min(start + block, total))
         c = np.empty((len(left), k), dtype=np.intp)
-        for j, t in enumerate(table):
+        for j, t in enumerate(tables):
             c[:, j] = np.searchsorted(t, left, side="right") - 1
             left -= t[c[:, j]]
         yield n - 1 - c

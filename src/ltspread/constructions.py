@@ -7,10 +7,11 @@ produce identical systems, so serialized output is stable.
 from __future__ import annotations
 
 import operator
-from itertools import combinations
 from typing import Iterable, Sequence
 
-from .core import Triple, TripleSystem, build_system
+import numpy as np
+
+from .core import TripleSystem, build_system
 from .errors import OutOfRange
 
 __all__ = [
@@ -61,6 +62,25 @@ def _require_odd_prime(p: int, what: str) -> int:
     return p
 
 
+def _canonical_rows(rows: np.ndarray) -> np.ndarray:
+    """Distinct triple rows in the order build_system takes in bulk: each
+    row sorted, then the rows sorted lexicographically."""
+    rows = np.sort(rows, axis=1)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def _halving(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs i < j of Z_q, q odd, and k = (i+j)/2 in Z_q, as int32.
+
+    int32 holds every label of a system whose rows fit in memory: a label
+    past it needs q above 3 * 10^8, so over 10^17 rows.  The product
+    (i+j)(q+1)/2 passes int32 from q = 46,341, so it is taken in int64.
+    """
+    i, j = np.triu_indices(q, 1)
+    k = np.multiply(i + j, (q + 1) // 2, dtype=np.int64) % q
+    return i.astype(np.int32), j.astype(np.int32), k.astype(np.int32)
+
+
 def bose_skolem(q: int) -> TripleSystem:
     """Steiner triple system on 3q vertices for odd q >= 3.
 
@@ -74,14 +94,17 @@ def bose_skolem(q: int) -> TripleSystem:
         raise OutOfRange(f"modulus must be odd, got {q}")
     if q < 3:
         raise OutOfRange(f"modulus must be at least 3, got {q}")
-    half = (q + 1) // 2
-    triples: list[Triple] = [(i, q + i, 2 * q + i) for i in range(q)]
-    for i, j in combinations(range(q), 2):
-        k = (i + j) * half % q
-        triples.append((i, j, q + k))
-        triples.append((q + i, q + j, 2 * q + k))
-        triples.append((2 * q + i, 2 * q + j, k))
-    return build_system(3 * q, triples)
+    i, j, k = _halving(q)
+    a = np.arange(q, dtype=np.int32)
+    rows = np.hstack(
+        [
+            (a, q + a, 2 * q + a),
+            (i, j, q + k),
+            (q + i, q + j, 2 * q + k),
+            (2 * q + i, 2 * q + j, k),
+        ]
+    ).T
+    return build_system(3 * q, _canonical_rows(rows))
 
 
 def spreading_6p3(p: int) -> TripleSystem:
@@ -108,23 +131,33 @@ def spreading_6p3(p: int) -> TripleSystem:
     """
     p = _require_odd_prime(p, "spreading_6p3")
     b, c, alpha, beta, gamma = p + 1, 2 * p + 2, 3 * p + 3, 4 * p + 3, 5 * p + 3
-    triples: list[Triple] = []
-    for j in range(p):
-        triples += [(p, j, beta + j), (p, alpha + j, b + j), (p, gamma + j, c + j)]
-        for i in range(p):
-            if i != j:
-                k = (2 * j - i) % p
-                triples += [(i, k, beta + j), (alpha + i, alpha + k, b + j)]
-    rho = [(v + p + 1) % alpha for v in range(alpha)]
-    rho += [alpha + (v + p) % (3 * p) for v in range(3 * p)]
-    once = [(rho[x], rho[y], rho[z]) for x, y, z in triples]
-    triples += once + [(rho[x], rho[y], rho[z]) for x, y, z in once]
-    for i in range(p):
-        for j in range(p):
-            triples.append((i, b + j, c + (i + j) % p))
-            triples.append((alpha + i, beta + j, gamma + (i + j + 1) % p))
-    triples.append((p, 2 * p + 1, 3 * p + 2))
-    return build_system(6 * p + 3, triples)
+    # i and 2j - i give one triple, so the black and brown triples off the
+    # hub are those of the pairs i < k in Z_p, with j = (i+k)/2
+    i, k, j = _halving(p)
+    a = np.arange(p, dtype=np.int32)
+    hub = np.full(p, p, dtype=np.int32)
+    rows = np.hstack(
+        [
+            (hub, a, beta + a),
+            (hub, alpha + a, b + a),
+            (hub, gamma + a, c + a),
+            (i, k, beta + j),
+            (alpha + i, alpha + k, b + j),
+        ]
+    ).T
+    v = np.arange(alpha, dtype=np.int32)
+    rho = np.concatenate([(v + b) % alpha, alpha + (v[: 3 * p] + p) % (3 * p)])
+    i, j = np.repeat(a, p), np.tile(a, p)
+    orange = np.hstack(
+        [
+            (i, b + j, c + (i + j) % p),
+            (alpha + i, beta + j, gamma + (i + j + 1) % p),
+            np.array([[p], [2 * p + 1], [3 * p + 2]], dtype=np.int32),
+        ]
+    ).T
+    once = rho[rows]
+    rows = np.concatenate([rows, once, rho[once], orange])
+    return build_system(6 * p + 3, _canonical_rows(rows))
 
 
 def crowning(system: TripleSystem, keep: Iterable[int] | None = None) -> TripleSystem:
@@ -135,23 +168,18 @@ def crowning(system: TripleSystem, keep: Iterable[int] | None = None) -> TripleS
     that edge order, each forming one new triple with its edge.  When the
     input is spreading, the output is weakly spreading, for any keep set.
     """
-    edges = system.uncovered_edges()
-    if keep is None:
-        chosen = list(range(len(edges)))
-    else:
+    edges = np.array(system.uncovered_edges(), dtype=np.intp).reshape(-1, 2)
+    if keep is not None:
         chosen = sorted({operator.index(i) for i in keep})
         for i in chosen:
             if i < 0 or i >= len(edges):
                 raise OutOfRange(
                     f"keep index {i} outside [0, {len(edges)}) uncovered edges"
                 )
-    triples = list(system.triples)
-    fresh = system.n
-    for i in chosen:
-        x, y = edges[i]
-        triples.append((x, y, fresh))
-        fresh += 1
-    return build_system(fresh, triples)
+        edges = edges[chosen]
+    fresh = system.n + np.arange(len(edges))
+    rows = np.concatenate([system.triple_array, np.column_stack([edges, fresh])])
+    return build_system(system.n + len(edges), _canonical_rows(rows))
 
 
 def cayley_latin(p: int) -> TripleSystem:
@@ -176,7 +204,7 @@ def from_latin_square(square: Sequence[Sequence[int]]) -> TripleSystem:
     assumed, since the square may contain subsquares.
     """
     k = len(square)
-    triples: list[Triple] = []
+    symbols = np.empty((k, k), dtype=np.intp)
     for i, row in enumerate(square):
         if len(row) != k:
             raise OutOfRange(f"row {i} has {len(row)} entries, expected {k}")
@@ -185,8 +213,11 @@ def from_latin_square(square: Sequence[Sequence[int]]) -> TripleSystem:
                 raise OutOfRange(
                     f"symbol {symbol} at row {i}, column {j} outside [0, {k})"
                 )
-            triples.append((i, k + j, 2 * k + symbol))
-    return build_system(3 * k, triples)
+            symbols[i, j] = symbol
+    # row by row, then column by column: the rows come out canonical
+    i, j = np.divmod(np.arange(k * k), k)
+    rows = np.column_stack([i, k + j, 2 * k + symbols.ravel()])
+    return build_system(3 * k, rows)
 
 
 def star_expansion(m: int) -> TripleSystem:
@@ -200,7 +231,6 @@ def star_expansion(m: int) -> TripleSystem:
     m = operator.index(m)
     if m <= 3:
         raise OutOfRange(f"star expansion needs a base of more than 3, got {m}")
-    triples = [
-        (i, j, m + r) for r, (i, j) in enumerate(combinations(range(m), 2))
-    ]
-    return build_system(m + m * (m - 1) // 2, triples)
+    i, j = np.triu_indices(m, 1)  # in lexicographic order, so canonical rows
+    rows = np.column_stack([i, j, m + np.arange(len(i))])
+    return build_system(m + len(i), rows)

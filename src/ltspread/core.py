@@ -55,8 +55,7 @@ class TripleSystem:
     Attributes:
         n: number of vertices; labels are 0..n-1.
         triples: lexicographically sorted tuple of sorted triples, built
-            from triple_array on first access when the system was built in
-            bulk from an array.
+            from triple_array on first access.
         triple_array: the triples as an (m, 3) intp array.
         pair_codes, pair_thirds: the 3m covered pairs x < y as sorted codes
             x*n + y, and the third vertex of each.
@@ -76,8 +75,9 @@ class TripleSystem:
         self.n = n
         # Per triple, a Python loop beats numpy set-up on the few triples of a
         # search candidate.  An integer array of canonical rows, as a parsed
-        # file's are, is taken in bulk: it needs no sort or dedupe.  uint64 is
-        # not, as its values can pass intp; any other array goes per triple.
+        # file's and a generator's are, is taken in bulk: it needs no sort or
+        # dedupe.  uint64 is not, as its values can pass intp; any other array
+        # goes per triple.
         bulk = isinstance(triples, np.ndarray) and triples.shape[1:] == (3,)
         if (
             bulk
@@ -86,7 +86,7 @@ class TripleSystem:
             and all(mask.all() for mask in _canonical(triples))
         ):
             t = triples.astype(np.intp)  # a copy: the caller's array stays writeable
-            tri = None  # the triples property builds it when asked
+            tri = None
         else:
             # dict keeps input order, so triples that arrive sorted sort in O(m)
             tri = tuple(sorted(dict.fromkeys(map(_normalize_triple, triples))))
@@ -94,7 +94,9 @@ class TripleSystem:
                 t = np.array(tri, dtype=np.intp).reshape(-1, 3)
             except OverflowError:  # such a vertex is out of range; clipping keeps it so
                 t = np.array(tri, dtype=object).clip(-1, n).astype(np.intp)
-        self._triples = tri
+        # tri only orders t and names the culprit of an error: the triples
+        # property builds the tuple from the array when it is first read
+        self._triples = None
 
         def row(i: int) -> Triple:
             return tuple(t[i].tolist()) if tri is None else tri[i]
@@ -121,8 +123,12 @@ class TripleSystem:
             message = f"vertex {v} outside [0, {n}) in triple {culprit}"
             raise VertexOutOfRange(message, culprit)
         by_third = np.argsort(z, kind="stable")
-        thirds, starts = np.unique(z[by_third], return_index=True)
-        self.sweep_pairs = (x[by_third], y[by_third], starts, thirds)
+        zs = z[by_third]
+        first = np.empty(len(zs), dtype=bool)  # where each third's run begins
+        first[:1] = True
+        np.not_equal(zs[1:], zs[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        self.sweep_pairs = (x[by_third], y[by_third], starts, zs[starts])
         self.triple_array, self.pair_codes, self.pair_thirds = t, codes, z[by_code]
         for array in (t, codes, self.pair_thirds, *self.sweep_pairs):
             array.flags.writeable = False
@@ -224,7 +230,8 @@ def build_system(n: int, triples: Iterable[Iterable[int]] = ()) -> TripleSystem:
     error names the lexicographically first defect.  An (m, 3) integer
     ndarray (other than uint64) of canonical rows, each strictly increasing
     and above the row before, is taken in bulk, with no Python work per
-    triple; any other array, like any other iterable, is normalised one
+    triple: the generators in constructions pass such arrays, as the parser
+    does.  Any other array, like any other iterable, is normalised one
     triple at a time, which is cheaper for a few triples.  Raises
     DegenerateTriple for the first triple, in input order, without three
     distinct entries, VertexOutOfRange (``.triple`` is the offending

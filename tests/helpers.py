@@ -9,9 +9,10 @@ which the optimized operators are compared.
 
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations, count
 
@@ -366,3 +367,77 @@ def min_weakly_spreading_naive(n: int):
         ]
         if passing:
             return m, min(passing)
+
+
+# -- per-triple generators --------------------------------------------------
+# The constructions as they were first written: one tuple per triple, each
+# normalised by build_system.  The array-native generators must equal them.
+
+
+def bose_skolem_naive(q: int) -> TripleSystem:
+    half = (q + 1) // 2
+    triples = [(i, q + i, 2 * q + i) for i in range(q)]
+    for i, j in combinations(range(q), 2):
+        k = (i + j) * half % q
+        triples.append((i, j, q + k))
+        triples.append((q + i, q + j, 2 * q + k))
+        triples.append((2 * q + i, 2 * q + j, k))
+    return build_system(3 * q, triples)
+
+
+def spreading_6p3_naive(p: int) -> TripleSystem:
+    """Every black and brown triple twice, as i and 2j - i give it."""
+    b, c, alpha, beta, gamma = p + 1, 2 * p + 2, 3 * p + 3, 4 * p + 3, 5 * p + 3
+    triples = []
+    for j in range(p):
+        triples += [(p, j, beta + j), (p, alpha + j, b + j), (p, gamma + j, c + j)]
+        for i in range(p):
+            if i != j:
+                k = (2 * j - i) % p
+                triples += [(i, k, beta + j), (alpha + i, alpha + k, b + j)]
+    rho = [(v + p + 1) % alpha for v in range(alpha)]
+    rho += [alpha + (v + p) % (3 * p) for v in range(3 * p)]
+    once = [(rho[x], rho[y], rho[z]) for x, y, z in triples]
+    triples += once + [(rho[x], rho[y], rho[z]) for x, y, z in once]
+    for i in range(p):
+        for j in range(p):
+            triples.append((i, b + j, c + (i + j) % p))
+            triples.append((alpha + i, beta + j, gamma + (i + j + 1) % p))
+    triples.append((p, 2 * p + 1, 3 * p + 2))
+    return build_system(6 * p + 3, triples)
+
+
+def crowning_naive(system: TripleSystem, keep=None) -> TripleSystem:
+    edges = system.uncovered_edges()
+    chosen = range(len(edges)) if keep is None else sorted(set(keep))
+    triples = list(system.triples)
+    for fresh, i in enumerate(chosen, system.n):
+        triples.append((*edges[i], fresh))
+    return build_system(system.n + len(chosen), triples)
+
+
+def from_latin_square_naive(square) -> TripleSystem:
+    k = len(square)
+    triples = [
+        (i, k + j, 2 * k + symbol)
+        for i, row in enumerate(square)
+        for j, symbol in enumerate(row)
+    ]
+    return build_system(3 * k, triples)
+
+
+def star_expansion_naive(m: int) -> TripleSystem:
+    triples = [(i, j, m + r) for r, (i, j) in enumerate(combinations(range(m), 2))]
+    return build_system(m + m * (m - 1) // 2, triples)
+
+
+def unrank_naive(n: int, k: int, rank: int) -> list[int]:
+    """The k-subset of range(n) of lexicographic rank rank, in Python ints:
+    C(n, k) - 1 - rank = sum_j C(c_j, k - j), each c_j the largest c that
+    fits, found by bisection; the subset is {n - 1 - c_j}."""
+    left, row = math.comb(n, k) - 1 - rank, []
+    for j in range(k):
+        c = bisect_right(range(n), left, key=lambda c: math.comb(c, k - j)) - 1
+        left -= math.comb(c, k - j)
+        row.append(n - 1 - c)
+    return row

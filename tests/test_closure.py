@@ -41,6 +41,7 @@ from helpers import (
     spreading_naive,
     strongly_connected_naive,
     traced_peak,
+    unrank_naive,
     weakly_spreading_naive,
 )
 
@@ -522,6 +523,23 @@ def test_combinations_stop_at_int64_ranks():
         is_strongly_connected(build_system(121_978, [(0, 1, 2)]))
     with pytest.raises(OutOfRange, match=r"C\(3810780, 3\)"):
         is_spreading(build_system(3_810_780, [(0, 1, 2)]))
+
+
+@pytest.mark.parametrize(
+    "n,k,first",
+    [
+        (3_810_779, 3, 0),  # C(n, 3) - 1 is the largest 3-subset rank in int64
+        (3_810_779, 3, 1_000_003),
+        (3_810_779, 3, comb(3_810_779, 3) - 50),
+        (70, 65, 0),  # C(69, 35) passes int64; C(70, 65) is 12,103,014
+        (70, 65, 5_000_000),
+        (70, 65, comb(70, 65) - 50),
+    ],
+)
+def test_combinations_unrank_in_python_ints(n, k, first):
+    ranks = range(first, min(first + 64, comb(n, k)))
+    block = next(kernel._combinations(n, k, 64, first))
+    assert block.tolist() == [unrank_naive(n, k, r) for r in ranks]
 
 
 def test_swap_filter_closes_only_swap_minimal_seeds():

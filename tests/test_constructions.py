@@ -2,9 +2,11 @@
 
 import math
 import time
+from unittest.mock import patch
 
 import pytest
 
+from ltspread import core
 from ltspread import (
     OutOfRange,
     bose_skolem,
@@ -18,6 +20,14 @@ from ltspread import (
 )
 from ltspread.bounds import construction_density
 from ltspread.constructions import _PRIME_BOUND, _is_prime
+
+from helpers import (
+    bose_skolem_naive,
+    crowning_naive,
+    from_latin_square_naive,
+    spreading_6p3_naive,
+    star_expansion_naive,
+)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11])
@@ -201,3 +211,53 @@ def test_generated_systems_pass_validation_roundtrip():
     # rebuilding from the triple list exercises the validator on each family
     for s in (bose_skolem(7), spreading_6p3(5), cayley_latin(5), star_expansion(5)):
         assert build_system(s.n, s.triples) == s
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31])
+def test_spreading_6p3_equals_per_triple_oracle(p):
+    assert spreading_6p3(p).triples == spreading_6p3_naive(p).triples
+
+
+@pytest.mark.parametrize("q", [*range(3, 52, 2), 201])
+def test_bose_skolem_equals_per_triple_oracle(q):
+    assert bose_skolem(q).triples == bose_skolem_naive(q).triples
+
+
+@pytest.mark.parametrize("keep", [None, [7, 0, 3, 7, 17], []])
+@pytest.mark.parametrize("base", [spreading_6p3(3), star_expansion(5)])
+def test_crowning_equals_per_triple_oracle(base, keep):
+    assert crowning(base, keep).triples == crowning_naive(base, keep).triples
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_latin_constructions_equal_per_triple_oracle(p):
+    table = [[(i + j) % p for j in range(p)] for i in range(p)]
+    assert cayley_latin(p).triples == from_latin_square_naive(table).triples
+    # a square that is no Cayley table: the columns of table, reversed
+    square = [row[::-1] for row in table]
+    assert from_latin_square(square) == from_latin_square_naive(square)
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 9])
+def test_star_expansion_equals_per_triple_oracle(m):
+    assert star_expansion(m).triples == star_expansion_naive(m).triples
+
+
+def test_generators_hand_build_system_canonical_arrays():
+    # a generator whose rows were not canonical would be normalised one
+    # triple at a time, with the same result, only slower
+    base = spreading_6p3(5)
+    calls = [
+        lambda: bose_skolem(9),
+        lambda: spreading_6p3(7),
+        lambda: crowning(base),
+        lambda: crowning(base, keep=[4, 1]),
+        lambda: cayley_latin(7),
+        lambda: from_latin_square([[0, 1], [1, 0]]),
+        lambda: star_expansion(6),
+    ]
+    wrapped = core._normalize_triple
+    with patch.object(core, "_normalize_triple", wraps=wrapped) as per_triple:
+        systems = [call() for call in calls]
+    assert not per_triple.called
+    assert all(s._triples is None for s in systems)
