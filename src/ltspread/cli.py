@@ -239,14 +239,13 @@ def _steiner(system: TripleSystem) -> PropertyVerdict:
     return PropertyVerdict(pair is None, witness, len(system.pair_codes))
 
 
-_PROPERTIES: dict[str, Callable[[TripleSystem, str], PropertyVerdict]] = {
-    "linear": lambda system, mode: PropertyVerdict(
-        True, None, len(system.triple_array)
-    ),
-    "steiner": lambda system, mode: _steiner(system),
-    "spreading": lambda system, mode: is_spreading(system, mode.replace("-", "_")),
-    "weakly-spreading": lambda system, mode: is_weakly_spreading(system),
-    "strong-connectivity": lambda system, mode: is_strongly_connected(system),
+# only spreading takes a mode: _cmd_check refuses --mode with the others
+_PROPERTIES: dict[str, Callable[..., PropertyVerdict]] = {
+    "linear": lambda system: PropertyVerdict(True, None, len(system.triple_array)),
+    "steiner": _steiner,
+    "spreading": lambda system, **mode: is_spreading(system, **mode),
+    "weakly-spreading": lambda system: is_weakly_spreading(system),
+    "strong-connectivity": lambda system: is_strongly_connected(system),
 }
 
 
@@ -257,6 +256,8 @@ def _given(args: argparse.Namespace, *names: str) -> dict[str, Any]:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     family = args.family
+    if args.keep is not None and family != "crowning":
+        raise ParseError(f"--keep applies only to --family crowning, not {family}")
     system = _FAMILIES[family](args)
     if family == "bose-skolem" and not _is_prime(args.p):
         advice = "the system is Steiner but the expansion guarantee assumes a prime"
@@ -273,8 +274,12 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    prop = args.property
+    mode = {} if args.mode is None else {"mode": args.mode.replace("-", "_")}
+    if mode and prop != "spreading":
+        raise ParseError(f"--mode applies only to --property spreading, not {prop}")
     system = _load(args.input)
-    verdict = _PROPERTIES[args.property](system, args.mode)
+    verdict = _PROPERTIES[prop](system, **mode)
     _emit(
         {
             "command": "check",
@@ -382,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="verify a property of a system file")
     p.add_argument("--input", required=True)
     p.add_argument("--property", required=True, choices=list(_PROPERTIES))
-    p.add_argument("--mode", default="reduced", choices=["reduced", "brute-force"])
+    p.add_argument("--mode", choices=["reduced", "brute-force"], help="spreading only")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("closure", help="closure and neighbourhood of a vertex set")

@@ -27,7 +27,7 @@ packed, lex-ordered table from the size below by Pascal's rule (_subsets)
 and sweeps word-aligned slices of it; a size whose table would outgrow
 _PAIR_BYTES gets its blocks built one at a time by the same rule.
 neighbourhood() looks the O(|S|^2) pairs of its set up in the system's
-sorted pair codes.  Witnesses: seeds go in size-ascending, then
+pair index, by vertex pair.  Witnesses: seeds go in size-ascending, then
 lexicographic order, and the first failure is the lowest failing bit of
 the first block that has one.
 """
@@ -94,8 +94,8 @@ class ExpanderReport:
 def neighbourhood(system: TripleSystem, subset: Iterable[int]) -> frozenset[int]:
     """Vertices outside subset completing a covered pair inside it."""
     s = np.array(system._vertices(subset), dtype=np.intp)
-    x, y = s[:, None], s[None, :]
-    thirds = system._third_points((x * system.n + y)[x < y])
+    i, j = np.nonzero(s[:, None] < s)
+    thirds = system._third_points(s[i], s[j])
     return frozenset(thirds[thirds >= 0].tolist()).difference(s.tolist())
 
 
@@ -254,7 +254,7 @@ def is_spreading(
     block = _block_size(system)
     if mode == "brute_force":
         blocks = (
-            rows[~system._are_triples(rows)] if k == 3 else rows
+            rows[system._third_points(*rows.T[:2]) != rows[:, 2]] if k == 3 else rows
             for k in range(3, n + 1)
             for rows in _combinations(n, k, block)
         )
@@ -272,9 +272,10 @@ def _swap_minimal(system: TripleSystem, rows: np.ndarray) -> np.ndarray:
     """Which sorted 3-subset rows x < y < z no swap lowers (see is_spreading):
     the third point of {x, y} is above y, those of {x, z} and {y, z} are
     above z, and -1 (uncovered) passes each."""
-    n, (x, y, z) = system.n, rows.T
-    t = system._third_points(np.concatenate((x * n + y, x * n + z, y * n + z)))
-    return ((t < 0) | (t > np.concatenate((y, z, z)))).reshape(3, -1).all(axis=0)
+    x, y, z = rows.T
+    above = np.concatenate((y, z, z))
+    t = system._third_points(np.concatenate((x, x, y)), above)
+    return ((t < 0) | (t > above)).reshape(3, -1).all(axis=0)
 
 
 def is_weakly_spreading(system: TripleSystem) -> PropertyVerdict:

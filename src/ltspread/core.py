@@ -74,14 +74,14 @@ class TripleSystem:
             raise VertexOutOfRange(f"vertex count must be {bound}, got {n}")
         self.n = n
         # Per triple, a Python loop beats numpy set-up on the few triples of a
-        # search candidate.  An integer array of canonical rows, as a parsed
-        # file's and a generator's are, is taken in bulk: it needs no sort or
-        # dedupe.  uint64 is not, as its values can pass intp; any other array
-        # goes per triple.
+        # search candidate.  An array of canonical rows that casts safely to
+        # intp, as a parsed file's and a generator's do, is taken in bulk: it
+        # needs no sort or dedupe.  uint64, float and object arrays do not
+        # cast, and a bool row is never strictly increasing, so those go per
+        # triple, like any other array.
         bulk = isinstance(triples, np.ndarray) and triples.shape[1:] == (3,)
         if (
             bulk
-            and triples.dtype.kind in "iu"
             and np.can_cast(triples.dtype, np.intp)
             and all(mask.all() for mask in _canonical(triples))
         ):
@@ -147,17 +147,14 @@ class TripleSystem:
                 raise VertexOutOfRange(f"vertex {v} outside [0, {self.n})")
         return out
 
-    def _third_points(self, codes: np.ndarray) -> np.ndarray:
-        """Third vertex of each pair code x*n + y, or -1 where it is uncovered."""
+    def _third_points(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Third vertex of each vertex pair x[i] < y[i], or -1 if uncovered."""
+        codes = x * self.n + y
         at = np.searchsorted(self.pair_codes, codes)
         hit = np.searchsorted(self.pair_codes, codes, side="right") > at
         out = np.full(len(codes), -1, dtype=np.intp)
         out[hit] = self.pair_thirds[at[hit]]
         return out
-
-    def _are_triples(self, rows: np.ndarray) -> np.ndarray:
-        """Which rows, sorted 3-subsets of [0, n), are triples."""
-        return self._third_points(rows[:, 0] * self.n + rows[:, 1]) == rows[:, 2]
 
     def third_point(self, x: int, y: int) -> int | None:
         """Return the third vertex of the triple through x and y, or None."""
@@ -166,15 +163,16 @@ class TripleSystem:
             raise OutOfRange(
                 f"pair query needs two distinct vertices, got {pair[0]} twice"
             )
-        (third,) = self._third_points(np.array([min(pair) * self.n + max(pair)]))
+        (third,) = self._third_points(np.array([min(pair)]), np.array([max(pair)]))
         return None if third < 0 else int(third)
 
     def has_triple(self, triple: Iterable[int]) -> bool:
-        """True when triple, in any entry order, is a triple of the system."""
-        t = tuple(sorted(triple))
-        # range first: codes of outside vertices can equal those of real pairs
+        """True when triple, in any entry order, is a triple of the system.
+        Entries are read with operator.index, so a float raises TypeError."""
+        t = sorted(map(operator.index, triple))
+        # range first: third_point raises on a vertex outside [0, n)
         ok = len(t) == 3 and 0 <= t[0] < t[1] < t[2] < self.n
-        return ok and bool(self._are_triples(np.array([t]))[0])
+        return ok and self.third_point(t[0], t[1]) == t[2]
 
     def is_steiner(self) -> bool:
         """True when every pair of vertices is covered by a triple."""
@@ -198,7 +196,7 @@ class TripleSystem:
     def uncovered_edges(self) -> list[Pair]:
         """All pairs not covered by any triple, in lexicographic order."""
         x, y = np.triu_indices(self.n, 1)
-        free = self._third_points(x * self.n + y) < 0
+        free = self._third_points(x, y) < 0
         return list(zip(x[free].tolist(), y[free].tolist()))
 
     def span(self) -> frozenset[int]:
@@ -227,16 +225,16 @@ def build_system(n: int, triples: Iterable[Iterable[int]] = ()) -> TripleSystem:
 
     Triples may arrive in any entry order and with duplicates; they are
     sorted and deduplicated, then checked in lexicographic order, so the
-    error names the lexicographically first defect.  An (m, 3) integer
-    ndarray (other than uint64) of canonical rows, each strictly increasing
-    and above the row before, is taken in bulk, with no Python work per
-    triple: the generators in constructions pass such arrays, as the parser
-    does.  Any other array, like any other iterable, is normalised one
-    triple at a time, which is cheaper for a few triples.  Raises
-    DegenerateTriple for the first triple, in input order, without three
-    distinct entries, VertexOutOfRange (``.triple`` is the offending
-    triple; None when n itself is out of range) and DuplicatePairCoverage
-    (``.pair``, and ``.triples``: the earlier and the later triple covering
-    it).
+    error names the lexicographically first defect.  An (m, 3) ndarray that
+    casts safely to intp (not uint64, float or object) of canonical rows,
+    each strictly increasing and above the row before, is taken in bulk,
+    with no Python work per triple: the generators in constructions pass
+    such arrays, as the parser does.  Any other array, like any other
+    iterable, is normalised one triple at a time, which is cheaper for a
+    few triples.  Raises DegenerateTriple for the first triple, in input
+    order, without three distinct entries, VertexOutOfRange (``.triple`` is
+    the offending triple; None when n itself is out of range) and
+    DuplicatePairCoverage (``.pair``, and ``.triples``: the earlier and the
+    later triple covering it).
     """
     return TripleSystem(n, triples)

@@ -88,7 +88,9 @@ def test_c05_latin_construction():
         assert not verdict.holds
         assert verdict.witness <= frozenset(range(p))  # inside the row class
         assert len(s.triples) == p * p == (3 * p) ** 2 // 9
-    passline(5, "cayley_latin weakly spreading, spreading fails in one class, p^2 = n^2/9")
+    passline(
+        5, "cayley_latin weakly spreading, spreading fails in one class, p^2 = n^2/9"
+    )
 
 
 def test_c06_star_expansion_counterexample():

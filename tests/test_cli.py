@@ -394,7 +394,7 @@ def test_triples_are_built_on_first_access():
     assert parsed.span() == system.span() and repr(parsed) == repr(system)
     assert serialize_system(parsed) == serialize_system(system)
     assert cli._summary(parsed) == cli._summary(system)
-    assert cli._PROPERTIES["linear"](parsed, "reduced").checked_count == 156
+    assert cli._PROPERTIES["linear"](parsed).checked_count == 156
     assert parsed._triples is None
     assert parsed.triples == system.triples and parsed._triples is parsed.triples
 
@@ -411,7 +411,8 @@ def wide_label_systems(draw):
     labels = st.integers(1, 10).flatmap(_label).filter(lambda v: v < core._MAX_ORDER)
     vertices = draw(st.lists(labels, unique=True, max_size=30))
     n = draw(st.integers(max(vertices, default=-1) + 1, core._MAX_ORDER))
-    return build_system(n, [vertices[i : i + 3] for i in range(0, len(vertices) - 2, 3)])
+    triples = [vertices[i : i + 3] for i in range(0, len(vertices) - 2, 3)]
+    return build_system(n, triples)
 
 
 @settings(max_examples=200, deadline=None)
@@ -461,7 +462,9 @@ def run_cli(capsys, *argv):
 
 def test_check_spreading_holds(tmp_path, capsys):
     path = write(tmp_path, "sts9.lts", serialize_system(bose_skolem(3)))
-    code, out, err = run_cli(capsys, "check", "--input", path, "--property", "spreading")
+    code, out, err = run_cli(
+        capsys, "check", "--input", path, "--property", "spreading"
+    )
     assert code == 0
     report = json.loads(out)
     assert report["holds"] is True
@@ -489,6 +492,19 @@ def test_check_brute_force_mode(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["holds"] is True
+
+
+@pytest.mark.parametrize(
+    "prop", ["linear", "steiner", "weakly-spreading", "strong-connectivity"]
+)
+@pytest.mark.parametrize("mode", ["reduced", "brute-force"])
+def test_check_mode_is_refused_without_spreading(tmp_path, capsys, prop, mode):
+    path = write(tmp_path, "sts9.lts", serialize_system(bose_skolem(3)))
+    argv = ["check", "--input", path, "--property", prop, "--mode", mode]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --mode applies only to --property spreading")
+    assert err.count("error: ") == 1
 
 
 def test_check_steiner_and_strong_connectivity(tmp_path, capsys):
@@ -605,6 +621,17 @@ def test_construct_crowning_with_keep(capsys):
     )
     assert code == 0
     assert parse_system(out) == crowning(spreading_6p3(3), range(5))
+
+
+@pytest.mark.parametrize(
+    "family", ["bose-skolem", "spreading-6p3", "cayley-latin", "star-expansion"]
+)
+def test_construct_keep_is_refused_without_crowning(capsys, family):
+    argv = ["construct", "--family", family, "--p", "3", "--keep", "0"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --keep applies only to --family crowning")
+    assert err.count("error: ") == 1
 
 
 def test_construct_composite_modulus_advisory(capsys):

@@ -298,7 +298,8 @@ def test_expander_guards():
 
 def test_expander_too_few_vertices_names_the_vertex_count():
     for n in (0, 1):
-        with pytest.raises(OutOfRange, match=f"need n >= 2 for the default .*got n={n}"):
+        match = f"need n >= 2 for the default .*got n={n}"
+        with pytest.raises(OutOfRange, match=match):
             expander_deficiency(build_system(n))
     with pytest.raises(OutOfRange, match="need n >= 1, got n=0"):
         expander_deficiency(build_system(0), max_size=1)

@@ -153,6 +153,12 @@ def test_has_triple_ignores_entry_order():
     # wrong length or a repeated vertex is never a triple
     for bad in [(0, 1), (0, 0, 1), (0, 1, 2, 2), (), (1, 1, 1)]:
         assert not s.has_triple(bad)
+    # entries are read as integers, as third_point reads them
+    assert s.has_triple(np.array([2, 0, 1]))
+    with pytest.raises(TypeError):
+        s.has_triple((0.0, 1.0, 2.0))
+    with pytest.raises(TypeError):
+        s.third_point(0.0, 1)
 
 
 def test_random_systems_are_linear():
@@ -333,6 +339,15 @@ def test_build_system_array_forms():
         build_system(5, np.array([[0, 1], [2, 3]]))
     with pytest.raises(TypeError):
         build_system(5, np.array([[0.0, 1.0, 2.0]]))
+    # bool casts to intp, but a bool row is never strictly increasing, so it
+    # goes per triple and raises as the list of its rows does
+    flags = np.array([[False, True, True]])
+    raised = []
+    for triples in (flags, list(flags)):
+        with pytest.raises(Exception) as exc:
+            build_system(5, triples)
+        raised.append(exc.type)
+    assert raised[0] is raised[1]
 
 
 lookup_systems = st.one_of(
@@ -372,6 +387,21 @@ def test_lookups_agree_with_naive_scans(s, seed):
     for k in range(n + 1):
         subset = rng.sample(range(n), k)
         assert neighbourhood(s, subset) == neighbourhood_naive(s, subset)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_systems, st.integers(0, 3))
+def test_third_points_agree_with_a_pair_dict(s, isolated):
+    # isolated vertices past the last one, besides those the system has
+    s = build_system(s.n + isolated, s.triple_array)
+    thirds = {}
+    for t in s.triples:
+        for x, y in combinations(t, 2):
+            thirds[x, y] = sum(t) - x - y
+    pairs = list(combinations(range(s.n), 2))
+    x, y = np.array(pairs, dtype=np.intp).T
+    expected = [thirds.get(pair, -1) for pair in pairs]
+    assert s._third_points(x, y).tolist() == expected
 
 
 def bose_skolem_without(q, i):
