@@ -105,13 +105,21 @@ def _kept_lines(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable
     return kept + 1, plain[kept], values, lambda i: line(kept[i])
 
 
+def _integers(words: list[str]) -> list[int] | None:
+    """The words as ints, or None unless each is decimal digits after an
+    optional "-" (so "007" and Arabic-Indic digits pass, "+7" and "7_0" not)."""
+    if all(word.removeprefix("-").isdecimal() for word in words):
+        return [int(word) for word in words]
+    return None
+
+
 def _read_lines(rows: list[str]) -> np.ndarray:
     """Lines read by token, up to the first that is not three integers."""
     out = []
     for parts in map(str.split, rows):
-        if len(parts) != 3 or not all(p.removeprefix("-").isdecimal() for p in parts):
+        if len(parts) != 3 or (row := _integers(parts)) is None:
             break
-        out.append(tuple(map(int, parts)))
+        out.append(row)
     try:  # left to itself, numpy would pick float64 for a vertex past int64
         return np.array(out, dtype=np.int64).reshape(-1, 3)
     except OverflowError:  # object dtype keeps such a vertex exact
@@ -138,9 +146,9 @@ def parse_system(text: str) -> TripleSystem:
         raise ParseError("missing counts line", line=lineno)
     lineno, counts = int(numbers[1]), row(1)
     parts = counts.split()
-    if len(parts) != 2 or not all(p.removeprefix("-").isdecimal() for p in parts):
+    if len(parts) != 2 or (nm := _integers(parts)) is None:
         raise ParseError(f"counts line must be two integers, got {counts!r}", lineno)
-    n, m = int(parts[0]), int(parts[1])
+    n, m = nm
     if n < 0 or m < 0:
         raise ParseError(f"counts must be non-negative, got {counts!r}", lineno)
     if (found := len(numbers) - 2) != m:
@@ -206,16 +214,13 @@ def _witness_json(verdict: PropertyVerdict) -> Any:
     return {"triples": [list(t) for t in verdict.witness]}
 
 
-def _emit(report: dict[str, Any]) -> None:
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
-
-
 def _parse_int_list(text: str, what: str) -> list[int]:
-    pieces = [piece.strip() for piece in text.split(",")]
-    for piece in pieces:
-        if not piece.removeprefix("-").isdecimal():
-            raise ParseError(f"{what} expects comma-separated integers, got {piece!r}")
-    return [int(piece) for piece in pieces]
+    """Comma-separated integers; blank text is the empty list."""
+    pieces = [piece.strip() for piece in text.split(",")] if text.strip() else []
+    if (values := _integers(pieces)) is None:
+        bad = next(piece for piece in pieces if _integers([piece]) is None)
+        raise ParseError(f"{what} expects comma-separated integers, got {bad!r}")
+    return values
 
 
 # Each entry looks its library function up when called, so a caller that
@@ -254,7 +259,11 @@ def _given(args: argparse.Namespace, *names: str) -> dict[str, Any]:
     return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
+# a command's exit code and report; run() writes the report, led by "command"
+_Result = tuple[int, dict[str, Any] | None]
+
+
+def _cmd_construct(args: argparse.Namespace) -> _Result:
     family = args.family
     if args.keep is not None and family != "crowning":
         raise ParseError(f"--keep applies only to --family crowning, not {family}")
@@ -268,86 +277,66 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if args.json:
-        _emit({"command": "construct", "family": family, "system": _summary(system)})
-    return 0
+    return 0, ({"family": family, "system": _summary(system)} if args.json else None)
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> _Result:
     prop = args.property
     mode = {} if args.mode is None else {"mode": args.mode.replace("-", "_")}
     if mode and prop != "spreading":
         raise ParseError(f"--mode applies only to --property spreading, not {prop}")
     system = _load(args.input)
     verdict = _PROPERTIES[prop](system, **mode)
-    _emit(
-        {
-            "command": "check",
-            "property": args.property,
-            "system": _summary(system),
-            "holds": verdict.holds,
-            "witness": _witness_json(verdict),
-            "checked_count": verdict.checked_count,
-        }
-    )
-    return 0 if verdict.holds else 1
+    return (0 if verdict.holds else 1), {
+        "property": args.property,
+        "system": _summary(system),
+        "holds": verdict.holds,
+        "witness": _witness_json(verdict),
+        "checked_count": verdict.checked_count,
+    }
 
 
-def _cmd_closure(args: argparse.Namespace) -> int:
+def _cmd_closure(args: argparse.Namespace) -> _Result:
     system = _load(args.input)
-    seed = _parse_int_list(args.set, "--set") if args.set else []
-    _emit(
-        {
-            "command": "closure",
-            "system": _summary(system),
-            "set": sorted(set(seed)),
-            "neighbourhood": sorted(neighbourhood(system, seed)),
-            "closure": sorted(closure(system, seed)),
-        }
-    )
-    return 0
+    seed = _parse_int_list(args.set, "--set")
+    return 0, {
+        "system": _summary(system),
+        "set": sorted(set(seed)),
+        "neighbourhood": sorted(neighbourhood(system, seed)),
+        "closure": sorted(closure(system, seed)),
+    }
 
 
-def _cmd_expander(args: argparse.Namespace) -> int:
+def _cmd_expander(args: argparse.Namespace) -> _Result:
     system = _load(args.input)
     report = expander_deficiency(system, args.max_size, **_given(args, "budget"))
     ratio = report.min_ratio
-    _emit(
-        {
-            "command": "expander",
-            "system": _summary(system),
-            "min_deficiency": report.min_deficiency,
-            "per_size_min_neighbourhood": {
-                str(k): v for k, v in sorted(report.per_size_min_neighbourhood.items())
-            },
-            "worst_set": sorted(report.worst_set),
-            "min_ratio": None
-            if ratio is None
-            else {"numerator": ratio.numerator, "denominator": ratio.denominator},
-        }
-    )
-    return 0
+    return 0, {
+        "system": _summary(system),
+        "min_deficiency": report.min_deficiency,
+        "per_size_min_neighbourhood": {
+            str(k): v for k, v in sorted(report.per_size_min_neighbourhood.items())
+        },
+        "worst_set": sorted(report.worst_set),
+        "min_ratio": None
+        if ratio is None
+        else {"numerator": ratio.numerator, "denominator": ratio.denominator},
+    }
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
-    if not args.min_wsp:
-        raise ParseError("search currently only supports --min-wsp")
+def _cmd_search(args: argparse.Namespace) -> _Result:
     result = min_weakly_spreading(args.n, **_given(args, "start_at", "budget"))
-    _emit(
-        {
-            "command": "search",
-            "n": result.n,
-            "minimum": result.minimum,
-            "witness": [list(t) for t in result.witness.triples],
-            "nodes_explored": result.nodes_explored,
-            "exhaustive_below": result.exhaustive_below,
-        }
-    )
-    return 0
+    return 0, {
+        "n": result.n,
+        "minimum": result.minimum,
+        "witness": [list(t) for t in result.witness.triples],
+        "nodes_explored": result.nodes_explored,
+        "exhaustive_below": result.exhaustive_below,
+    }
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
-    report: dict[str, Any] = {"command": "bounds"}
+def _cmd_bounds(args: argparse.Namespace) -> _Result:
+    report: dict[str, Any] = {}
     if not (args.tau or args.constants or args.density is not None):
         raise ParseError("bounds needs at least one of --tau, --constants, --density")
     if args.tau or args.constants:
@@ -360,8 +349,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.density is not None:
         n, m, ratio = bounds_mod.construction_density(args.density)
         report["density"] = {"p": args.density, "n": n, "m": m, "ratio": ratio}
-    _emit(report)
-    return 0
+    return 0, report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -402,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_expander)
 
     p = sub.add_parser("search", help="extremal search")
-    p.add_argument("--min-wsp", action="store_true")
+    p.add_argument("--min-wsp", action="store_true", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--start-at", type=int, default=None)
     p.add_argument("--budget", type=int, default=None)
@@ -424,7 +412,11 @@ def run(argv: list[str] | None = None) -> int:
             args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
-        return args.func(args)
+        code, report = args.func(args)
+        if report is not None:
+            report = {"command": args.cmd, **report}
+            sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        return code
     except _InvalidSystemFile as exc:
         print(f"error: invalid system: {exc}", file=sys.stderr)
         return 3

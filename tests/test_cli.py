@@ -664,6 +664,51 @@ def test_closure_bad_integer_exits_2(tmp_path, capsys):
     assert "comma-separated integers" in err
 
 
+def parse_error(text):
+    """The message parse_system raises for text, or "" when it parses."""
+    try:
+        parse_system(text)
+    except LtsError as exc:
+        return str(exc)
+    return ""
+
+
+@pytest.mark.parametrize(
+    "token,integer",
+    [(token, True) for token in ["7", "-7", "007", "\u0667"]]  # Arabic-Indic 7
+    + [(token, False) for token in ["+7", "7_0", "0x7", "7.0"]],
+)
+def test_the_integer_readers_share_one_rule(tmp_path, capsys, token, integer):
+    # each reader may reject the number itself, but only a word that is not
+    # an integer may draw its "not integers" error
+    path = write(tmp_path, "sts9.lts", serialize_system(bose_skolem(3)))
+    crowning_ = ["construct", "--family", "crowning", "--p", "3"]
+    errors = {
+        "counts line must be two integers": parse_error(f"lts 1\n{token} 0\n"),
+        "triple line must be three": parse_error(f"lts 1\n10 1\n{token} 8 9\n"),
+        "--set expects comma-separated integers": run_cli(
+            capsys, "closure", "--input", path, f"--set={token}"
+        )[2],
+        "--keep expects comma-separated integers": run_cli(
+            capsys, *crowning_, f"--keep={token}"
+        )[2],
+    }
+    for fragment, error in errors.items():
+        assert (fragment in error) is not integer, (fragment, error)
+
+
+@pytest.mark.parametrize("text", ["", " ", "\t "])
+def test_blank_set_and_keep_are_empty(tmp_path, capsys, text):
+    path = write(tmp_path, "sts9.lts", serialize_system(bose_skolem(3)))
+    code, out, _ = run_cli(capsys, "closure", "--input", path, "--set", text)
+    assert code == 0
+    assert json.loads(out)["set"] == json.loads(out)["closure"] == []
+    crowning_ = ["construct", "--family", "crowning", "--p", "3"]
+    code, out, _ = run_cli(capsys, *crowning_, "--keep", text)
+    assert code == 0
+    assert out == serialize_system(spreading_6p3(3))
+
+
 def test_expander_subcommand(tmp_path, capsys):
     path = write(tmp_path, "sts9.lts", serialize_system(bose_skolem(3)))
     code, out, _ = run_cli(capsys, "expander", "--input", path)
@@ -692,6 +737,12 @@ def test_search_start_above_floor_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "start_at" in err
+
+
+def test_search_requires_min_wsp(capsys):
+    code, out, err = run_cli(capsys, "search", "--n", "5")
+    assert code == 2 and out == ""
+    assert "the following arguments are required: --min-wsp" in err
 
 
 def test_bounds_subcommand(capsys):
@@ -723,6 +774,33 @@ def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
         assert code == 1
         outs.append(out.encode())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--family", "star-expansion", "--p", "4", "--json"],
+        ["check", "--input", "{}", "--property", "linear"],
+        ["closure", "--input", "{}", "--set", "0,1"],
+        ["expander", "--input", "{}"],
+        ["search", "--min-wsp", "--n", "5"],
+        ["bounds", "--density", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_report_leads_with_its_command(tmp_path, capsys, argv):
+    path = write(tmp_path, "sts9.lts", serialize_system(bose_skolem(3)))
+    code, out, _ = run_cli(capsys, *(word.format(path) for word in argv))
+    assert code == 0
+    report = json.loads(out[out.index("{") :])  # construct writes its system first
+    assert next(iter(report)) == "command" and report["command"] == argv[0]
+
+
+def test_construct_without_json_prints_no_report(capsys):
+    argv = ["construct", "--family", "star-expansion", "--p", "4"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == serialize_system(star_expansion(4))
 
 
 def test_help_exits_0(capsys):
