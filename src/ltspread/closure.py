@@ -22,6 +22,10 @@ at n = 121,977.  The verifiers that scan a single seed size unrank their
 seeds (_combinations; _rank inverts it) and scatter them into M (_pack);
 is_spreading first drops each 3-set that a swap (see there) turns into a
 lexicographically smaller one with the same closure.
+The extremal search checks a chunk of candidate systems in one kernel call
+(_weakly_spreading_each): it sweeps the union of their triples under a
+gate, one packed row per pair, that lets each triple act only on the seeds
+of the candidates holding it.
 expander_deficiency scans every size from 1 up, so it builds each size's
 packed, lex-ordered table from the size below by Pascal's rule (_subsets)
 and sweeps word-aligned slices of it; a size whose table would outgrow
@@ -38,11 +42,12 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
-from .core import Triple, TripleSystem
+from .core import Triple, TripleSystem, _sweep_pairs
 from .errors import BudgetExceeded, OutOfRange
 
 __all__ = [
@@ -194,16 +199,27 @@ def _unpack(words: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=-1, count=count, bitorder="little")
 
 
-def _neighbourhoods(m: np.ndarray, pairs: tuple[np.ndarray, ...]) -> np.ndarray:
-    """One sweep: N[z] = OR of M[x] & M[y] over the pairs of z, minus M[z]."""
+def _neighbourhoods(
+    m: np.ndarray, pairs: tuple[np.ndarray, ...], gate: np.ndarray | None = None
+) -> np.ndarray:
+    """One sweep: N[z] = OR of M[x] & M[y] over the pairs of z, minus M[z].
+    A gate, one packed row per pair, masks each term M[x] & M[y]."""
     x, y, starts, zs = pairs
-    return np.bitwise_or.reduceat(m[x] & m[y], starts) & ~m[zs]
+    terms = m[x] & m[y]
+    if gate is not None:
+        terms &= gate
+    return np.bitwise_or.reduceat(terms, starts) & ~m[zs]
 
 
-def _close_batch(n: int, rows: np.ndarray, pairs: tuple[np.ndarray, ...]) -> np.ndarray:
+def _close_batch(
+    n: int,
+    rows: np.ndarray,
+    pairs: tuple[np.ndarray, ...],
+    gate: np.ndarray | None = None,
+) -> np.ndarray:
     """Packed closures of seed rows: sweep until no closure grows."""
     m = _pack(n, rows)
-    while (grow := _neighbourhoods(m, pairs)).any():
+    while (grow := _neighbourhoods(m, pairs, gate)).any():
         m[pairs[3]] |= grow
     return m
 
@@ -288,6 +304,44 @@ def is_weakly_spreading(system: TripleSystem) -> PropertyVerdict:
     ijs = _combinations(len(system.triple_array), 2, _block_size(system))
     blocks = (system.triple_array[ij].reshape(-1, 6) for ij in ijs)
     return _scan(system, blocks, lambda seed: (tuple(seed[:3]), tuple(seed[3:])))
+
+
+def _weakly_spreading_each(n: int, systems: Sequence[Sequence[Triple]]) -> np.ndarray:
+    """Whether each of a chunk of linear systems on range(n) is weakly
+    spreading, as a bool array, from one gated kernel call.
+
+    The seeds t1 + t2 of every system take one bit each of a single block,
+    swept over the union of the chunk's triples, which need not be linear.
+    Row t of the gate marks the seeds of the systems that hold union triple
+    t, so t adds third points to those seeds only, and each seed closes in
+    its own system.  A system holds when all its seeds close to range(n).
+    Triples are coded (x*n + y)*n + z in int64, and the caller keeps the
+    seeds within a block.
+    """
+    sizes = np.array([len(s) for s in systems], dtype=np.intp)
+    holds = np.ones(len(sizes), dtype=bool)
+    pos = np.arange(sizes.max(initial=0))  # triple positions
+    i, j = np.nonzero(pos[:, None] < pos)  # the positions of t1 and t2
+    keep = j < sizes[:, None]  # the position pairs of each system
+    if not keep.any():
+        return holds
+    ints = chain.from_iterable(chain.from_iterable(systems))
+    flat = np.fromiter(ints, np.intp, 3 * sizes.sum()).reshape(-1, 3)
+    codes = (flat[:, 0] * n + flat[:, 1]) * n + flat[:, 2]
+    union, which = np.unique(codes, return_inverse=True)
+    # at[k, p]: the flat index of triple p of system k, or of its last one
+    at = (np.cumsum(sizes) - sizes)[:, None] + np.minimum(pos, sizes[:, None] - 1)
+    owner = np.nonzero(keep)[0]  # the system of each seed
+    ends = np.stack((at[:, i][keep], at[:, j][keep]), axis=1)  # each seed's t1, t2
+    rows = flat.take(ends, axis=0).reshape(-1, 6)
+    gate = _pack(len(union), which[at][owner])  # bit s of row t: t in its system
+    ux, uy, uz = union // (n * n), union // n % n, union % n
+    slots = np.array(((ux, ux, uy), (uy, uz, uz), (uz, uy, ux))).reshape(3, -1)
+    pairs, order = _sweep_pairs(*slots)  # slot f is a pair of union triple f % u
+    closed = _close_batch(n, rows, pairs, gate[order % len(union)])
+    fails = _unpack(~np.bitwise_and.reduce(closed, axis=0), len(rows))
+    holds[owner[np.flatnonzero(fails)]] = False
+    return holds
 
 
 def is_strongly_connected(system: TripleSystem) -> PropertyVerdict:

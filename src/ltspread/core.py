@@ -49,6 +49,21 @@ def _canonical(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return increasing, above
 
 
+def _sweep_pairs(
+    x: np.ndarray, y: np.ndarray, z: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The kernel's (x, y, starts, thirds) of pair slots x < y with third
+    point z: the slots in a stable sort by third point, where the run from
+    starts[i] has third point thirds[i]; and the order of that sort."""
+    by_third = np.argsort(z, kind="stable")
+    zs = z[by_third]
+    first = np.empty(len(zs), dtype=bool)  # where each third's run begins
+    first[:1] = True
+    np.not_equal(zs[1:], zs[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return (x[by_third], y[by_third], starts, zs[starts]), by_third
+
+
 class TripleSystem:
     """A validated linear triple system, immutable after construction.
 
@@ -122,13 +137,7 @@ class TripleSystem:
             v = culprit[0] if culprit[0] < 0 else culprit[2]
             message = f"vertex {v} outside [0, {n}) in triple {culprit}"
             raise VertexOutOfRange(message, culprit)
-        by_third = np.argsort(z, kind="stable")
-        zs = z[by_third]
-        first = np.empty(len(zs), dtype=bool)  # where each third's run begins
-        first[:1] = True
-        np.not_equal(zs[1:], zs[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        self.sweep_pairs = (x[by_third], y[by_third], starts, zs[starts])
+        self.sweep_pairs = _sweep_pairs(x, y, z)[0]
         self.triple_array, self.pair_codes, self.pair_thirds = t, codes, z[by_code]
         for array in (t, codes, self.pair_thirds, *self.sweep_pairs):
             array.flags.writeable = False

@@ -13,16 +13,28 @@ vertices, which is what makes small minima exhaustively checkable.  One
 step rule builds every such ordering: each triple is a 3-subset of the
 vertices used so far plus the next fresh one (the next two for the
 second triple) whose three pairs are all uncovered.
+
+So every candidate is linear, and the search checks candidates without
+building them.  A level's first candidate is built and checked as a
+system; the rest go in chunks of 2, 4, 8, ... candidates, up to as many
+as one kernel block holds seeds for, and each chunk closes in one gated
+kernel call, one bit per (candidate, seed) pair (see
+closure._weakly_spreading_each).  Only the first passing candidate
+becomes a TripleSystem.  Each candidate carries the node count at which
+it was placed, so reading ahead leaves nodes_explored as it was, and a
+chunk cut short by the budget is checked before the budget error is
+raised.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from itertools import combinations, count
 from typing import Iterator
 
-from .closure import closure, is_weakly_spreading
+from .closure import _BLOCK, _weakly_spreading_each, closure, is_weakly_spreading
 from .core import Triple, TripleSystem, build_system
 from .errors import BudgetExceeded, OutOfRange
 
@@ -113,18 +125,59 @@ def min_weakly_spreading(
         raise OutOfRange(f"start_at must lie in [1, {floor}], got {first}")
     counter = [0]
     for m in count(first):
-        for cand in _level_candidates(n, m, counter, budget):
-            system = build_system(n, cand)
-            if is_weakly_spreading(system):
+        cap = _BLOCK // max(1, math.comb(m, 2))  # a chunk's seeds fill one block
+        level = _level_candidates(n, m, counter, budget)
+        for chunk in _chunks(level, counter, cap):
+            if found := _first_passing(n, chunk):
                 # counts below ceil(n/3) cannot span n vertices at all, so
                 # the scan was exhaustive iff it started at or below that
                 return SearchResult(
                     n=n,
                     minimum=m,
-                    witness=system,
-                    nodes_explored=counter[0],
+                    witness=found[0],
+                    nodes_explored=found[1],
                     exhaustive_below=first <= -(-n // 3),
                 )
+
+
+def _chunks(
+    candidates: Iterator[tuple[Triple, ...]], counter: list[int], cap: int
+) -> Iterator[list[tuple[tuple[Triple, ...], int]]]:
+    """The candidates, each with counter[0] as it arrives, in lists of 1, 2,
+    4, ... up to cap.  When the candidates raise BudgetExceeded, the list
+    being filled comes out first, as the scan would have checked those
+    candidates before it placed more."""
+    chunk: list[tuple[tuple[Triple, ...], int]] = []
+    size = 1
+    try:
+        for cand in candidates:
+            chunk.append((cand, counter[0]))
+            if len(chunk) == size:
+                yield chunk
+                chunk, size = [], min(2 * size, cap)
+    except BudgetExceeded:
+        if chunk:
+            yield chunk
+        raise
+    if chunk:
+        yield chunk
+
+
+def _first_passing(
+    n: int, chunk: list[tuple[tuple[Triple, ...], int]]
+) -> tuple[TripleSystem, int] | None:
+    """The first weakly spreading candidate of a chunk, built, with its
+    node count; None when none passes.  A lone candidate is checked as a
+    system, which costs less than a slice of one."""
+    if len(chunk) == 1:
+        (cand, nodes), = chunk
+        system = build_system(n, cand)
+        return (system, nodes) if is_weakly_spreading(system) else None
+    holds = _weakly_spreading_each(n, [cand for cand, _ in chunk])
+    if not holds.any():
+        return None
+    cand, nodes = chunk[int(holds.argmax())]
+    return build_system(n, cand), nodes
 
 
 def ordering_witness(system: TripleSystem) -> tuple[Triple, ...] | None:

@@ -411,6 +411,58 @@ def test_kernel_expander_agrees_with_naive_oracle(block, pair_bytes, s):
     assert rep.min_ratio == want["min_ratio"]
 
 
+@settings(max_examples=60, deadline=None)
+@given(random_systems, st.randoms(use_true_random=False))
+def test_kernel_gate_masks_a_triple_for_one_seed(s, rng):
+    n, pairs = s.n, s.sweep_pairs
+    rows = np.array([rng.sample(range(n), 3) for _ in range(rng.randint(1, 100))])
+    plain = kernel._close_batch(n, rows, pairs)
+    gate = np.full((len(pairs[0]), plain.shape[1]), ~np.uint64(0))
+    np.testing.assert_array_equal(kernel._close_batch(n, rows, pairs, gate), plain)
+    if not s.triples:
+        return
+    # clear the three terms of triple t in the bit of seed b only
+    t, b = rng.choice(s.triples), rng.randrange(len(rows))
+    x, y, starts, thirds = pairs
+    z = np.repeat(thirds, np.diff(starts, append=len(x)))
+    terms = np.sort(np.stack((x, y, z), axis=1), axis=1)
+    gate[(terms == t).all(axis=1), b // 64] ^= np.uint64(1 << b % 64)
+    got = kernel._unpack(kernel._close_batch(n, rows, pairs, gate), len(rows))
+    without = build_system(n, [u for u in s.triples if u != t])
+    for i, seed in enumerate(rows.tolist()):
+        want = closure_naive(without if i == b else s, seed)
+        assert set(np.flatnonzero(got[:, i]).tolist()) == want
+
+
+@st.composite
+def system_chunks(draw):
+    """n and 1-40 linear systems on range(n) as triple tuples.  Some repeat
+    an earlier system or a prefix of one, so systems share triples and may
+    hold 0 or 1 triple; some use fewer than n vertices."""
+    n = draw(st.integers(3, 12))
+    systems: list[tuple] = []
+    for _ in range(draw(st.integers(1, 40))):
+        if systems and draw(st.integers(0, 3)) == 0:
+            base = draw(st.sampled_from(systems))
+            systems.append(base[: draw(st.integers(0, len(base)))])
+            continue
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        fill = draw(st.sampled_from([0.5, 1.0, 1.5]))
+        # the vertices from order up stay bare
+        order = max(3, n - draw(st.sampled_from([0, 0, 0, 1, 2])))
+        systems.append(random_linear_system(rng, order, fill).triples)
+    return n, systems
+
+
+@settings(max_examples=60, deadline=None)
+@given(system_chunks())
+def test_sliced_weak_check_agrees_with_naive_oracle(chunk):
+    n, systems = chunk
+    want = {t: weakly_spreading_naive(build_system(n, t))[0] for t in set(systems)}
+    holds = kernel._weakly_spreading_each(n, systems)
+    assert holds.tolist() == [want[t] for t in systems]
+
+
 @pytest.mark.parametrize("block", BLOCK_SIZES)
 def test_kernel_deep_failure(block):
     # the only failing 3-sets are {14, 16, x} for x in 21, 28, 29, 31

@@ -1,7 +1,7 @@
 """Extremal search and ordering certificates."""
 
 import heapq
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from unittest.mock import patch
 
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ltspread import (
     BudgetExceeded,
     OutOfRange,
+    SearchResult,
     bose_skolem,
     build_system,
     cayley_latin,
@@ -21,7 +22,7 @@ from ltspread import (
     ordering_witness,
     spreading_6p3,
 )
-from ltspread.closure import closure
+from ltspread.closure import _weakly_spreading_each, closure
 from ltspread.extremal import _level_candidates
 
 from helpers import (
@@ -30,6 +31,7 @@ from helpers import (
     normalized_orderings_naive,
     ordering_naive,
     random_systems,
+    weakly_spreading_naive,
 )
 
 
@@ -155,6 +157,86 @@ def test_argument_validation():
     assert str(exc.value) == (
         "search used 86 nodes, over its budget of 85, while scanning 7-triple systems"
     )
+
+
+# The lex-least witnesses: from n = 7 on, the first n - 3 triples of n = 10's.
+WITNESS_10 = (
+    (0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 7), (2, 3, 8), (2, 4, 9)
+)
+WITNESSES = {
+    5: ((0, 1, 2), (0, 3, 4)),
+    6: ((0, 1, 2), (0, 3, 4), (1, 3, 5)),
+    **{n: WITNESS_10[: n - 3] for n in range(7, 11)},
+}
+# n -> nodes_explored at start_at = 1, 2, ..., n - 3
+NODES = {
+    5: (3, 2),
+    6: (5, 4, 3),
+    7: (7, 6, 5, 4),
+    8: (10, 9, 8, 7, 6),
+    9: (16, 15, 14, 13, 12, 11),
+    10: (92, 91, 90, 89, 88, 87, 86),
+}
+STARTS = [(n, s) for n in NODES for s in (None, *range(1, n - 2))]
+
+
+@pytest.mark.parametrize("n, start_at", STARTS)
+def test_search_results_are_pinned(n, start_at):
+    nodes = NODES[n][(start_at or n - 3) - 1]
+    want = SearchResult(
+        n=n,
+        minimum=n - 3,
+        witness=build_system(n, WITNESSES[n]),
+        nodes_explored=nodes,
+        exhaustive_below=(start_at or n - 3) <= -(-n // 3),
+    )
+    assert min_weakly_spreading(n, start_at) == want
+    assert min_weakly_spreading(n, start_at, budget=nodes) == want
+    with pytest.raises(BudgetExceeded) as exc:
+        min_weakly_spreading(n, start_at, budget=nodes - 1)
+    assert str(exc.value) == (
+        f"search used {nodes} nodes, over its budget of {nodes - 1}, "
+        f"while scanning {n - 3}-triple systems"
+    )
+
+
+@pytest.mark.parametrize("block", [21, 42, 64, 10**6])
+def test_search_results_do_not_depend_on_the_chunk_cap(block):
+    # at n = 10 the 7-triple candidates have 21 seeds each: caps of 1 to all
+    with patch("ltspread.extremal._BLOCK", block):
+        for n, start_at in STARTS:
+            assert min_weakly_spreading(n, start_at).nodes_explored == (
+                NODES[n][(start_at or n - 3) - 1]
+            )
+        assert min_weakly_spreading(10).witness.triples == WITNESS_10
+
+
+def test_search_builds_only_lone_candidates_and_the_witness():
+    # n = 10 checks 41 candidates: the first alone, the rest in slices
+    with patch("ltspread.extremal.build_system", wraps=build_system) as spy:
+        result = min_weakly_spreading(10)
+    assert [build_system(*call.args) for call in spy.call_args_list] == [
+        build_system(10, next(_level_candidates(10, 7, [0], 10**9))),
+        result.witness,
+    ]
+
+
+LEVELS = {
+    (n, m): list(islice(_level_candidates(n, m, [0], 10**9), 400))
+    for n, m in ((9, 6), (10, 7))
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(LEVELS)), st.data())
+def test_sliced_weak_check_on_search_candidates(level, data):
+    n, cands = level[0], LEVELS[level]
+    start = data.draw(st.integers(0, len(cands) - 1))
+    chunk = cands[start : start + data.draw(st.integers(1, 40))]
+    holds = _weakly_spreading_each(n, chunk)
+    assert holds.tolist() == [
+        weakly_spreading_naive(build_system(n, cand))[0] for cand in chunk
+    ]
 
 
 def test_minimum_verified_by_unconstrained_search_n5():
