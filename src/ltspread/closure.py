@@ -22,10 +22,10 @@ at n = 121,977.  The verifiers that scan a single seed size unrank their
 seeds (_combinations; _rank inverts it) and scatter them into M (_pack);
 is_spreading first drops each 3-set that a swap (see there) turns into a
 lexicographically smaller one with the same closure.
-The extremal search checks a chunk of candidate systems in one kernel call
-(_weakly_spreading_each): it sweeps the union of their triples under a
-gate, one packed row per pair, that lets each triple act only on the seeds
-of the candidates holding it.
+The extremal search checks a chunk of candidate systems, one (K, m, 3)
+array, in one kernel call (_weakly_spreading_each): it sweeps the union of
+their triples under a gate, one packed row per pair, that lets each triple
+act only on the seeds of the candidates holding it.
 expander_deficiency scans every size from 1 up, so it builds each size's
 packed, lex-ordered table from the size below by Pascal's rule (_subsets)
 and sweeps word-aligned slices of it; a size whose table would outgrow
@@ -42,7 +42,6 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
@@ -306,42 +305,31 @@ def is_weakly_spreading(system: TripleSystem) -> PropertyVerdict:
     return _scan(system, blocks, lambda seed: (tuple(seed[:3]), tuple(seed[3:])))
 
 
-def _weakly_spreading_each(n: int, systems: Sequence[Sequence[Triple]]) -> np.ndarray:
-    """Whether each of a chunk of linear systems on range(n) is weakly
-    spreading, as a bool array, from one gated kernel call.
+def _weakly_spreading_each(n: int, cands: np.ndarray) -> np.ndarray:
+    """Whether each of K linear systems on range(n), given as a (K, m, 3)
+    intp array of sorted triples, is weakly spreading, as a bool array, from
+    one gated kernel call.
 
     The seeds t1 + t2 of every system take one bit each of a single block,
-    swept over the union of the chunk's triples, which need not be linear.
+    swept over the union of the systems' triples, which need not be linear.
     Row t of the gate marks the seeds of the systems that hold union triple
     t, so t adds third points to those seeds only, and each seed closes in
     its own system.  A system holds when all its seeds close to range(n).
-    Triples are coded (x*n + y)*n + z in int64, and the caller keeps the
-    seeds within a block.
+    Triples are coded (x*n + y)*n + z in int64 (np.unique over rows is
+    several times slower), and the caller keeps the seeds within a block.
     """
-    sizes = np.array([len(s) for s in systems], dtype=np.intp)
-    holds = np.ones(len(sizes), dtype=bool)
-    pos = np.arange(sizes.max(initial=0))  # triple positions
+    k, m = cands.shape[:2]
+    pos = np.arange(m)  # np.triu_indices costs several times as much
     i, j = np.nonzero(pos[:, None] < pos)  # the positions of t1 and t2
-    keep = j < sizes[:, None]  # the position pairs of each system
-    if not keep.any():
-        return holds
-    ints = chain.from_iterable(chain.from_iterable(systems))
-    flat = np.fromiter(ints, np.intp, 3 * sizes.sum()).reshape(-1, 3)
-    codes = (flat[:, 0] * n + flat[:, 1]) * n + flat[:, 2]
-    union, which = np.unique(codes, return_inverse=True)
-    # at[k, p]: the flat index of triple p of system k, or of its last one
-    at = (np.cumsum(sizes) - sizes)[:, None] + np.minimum(pos, sizes[:, None] - 1)
-    owner = np.nonzero(keep)[0]  # the system of each seed
-    ends = np.stack((at[:, i][keep], at[:, j][keep]), axis=1)  # each seed's t1, t2
-    rows = flat.take(ends, axis=0).reshape(-1, 6)
-    gate = _pack(len(union), which[at][owner])  # bit s of row t: t in its system
-    ux, uy, uz = union // (n * n), union // n % n, union % n
-    slots = np.array(((ux, ux, uy), (uy, uz, uz), (uz, uy, ux))).reshape(3, -1)
-    pairs, order = _sweep_pairs(*slots)  # slot f is a pair of union triple f % u
-    closed = _close_batch(n, rows, pairs, gate[order % len(union)])
+    rows = np.concatenate((cands[:, i], cands[:, j]), axis=2).reshape(-1, 6)
+    codes = (cands[..., 0] * n + cands[..., 1]) * n + cands[..., 2]
+    union, which = np.unique(codes.ravel(), return_inverse=True)
+    gate = _pack(len(union), np.repeat(which.reshape(k, m), len(i), axis=0))
+    ut = np.stack((union // (n * n), union // n % n, union % n), axis=1)
+    _, pairs, order = _sweep_pairs(ut)  # order // 3: each sweep slot's triple
+    closed = _close_batch(n, rows, pairs, gate[order // 3])
     fails = _unpack(~np.bitwise_and.reduce(closed, axis=0), len(rows))
-    holds[owner[np.flatnonzero(fails)]] = False
-    return holds
+    return ~fails.reshape(k, -1).any(axis=1)
 
 
 def is_strongly_connected(system: TripleSystem) -> PropertyVerdict:

@@ -50,18 +50,21 @@ def _canonical(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sweep_pairs(
-    x: np.ndarray, y: np.ndarray, z: np.ndarray
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The kernel's (x, y, starts, thirds) of pair slots x < y with third
-    point z: the slots in a stable sort by third point, where the run from
-    starts[i] has third point thirds[i]; and the order of that sort."""
+    t: np.ndarray,
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], np.ndarray]:
+    """The pair slots (x, y, z) of (m, 3) rows of sorted triples, slot j of
+    row i at flat index 3i + j: pairs xy, xz, yz with third point z.  Then
+    the kernel's (x, y, starts, thirds), the slots in a stable sort by third
+    point, where the run from starts[i] has third point thirds[i]; and the
+    order of that sort."""
+    x, y, z = (t.take(c, axis=1).ravel() for c in ([0, 0, 1], [1, 2, 2], [2, 1, 0]))
     by_third = np.argsort(z, kind="stable")
     zs = z[by_third]
     first = np.empty(len(zs), dtype=bool)  # where each third's run begins
     first[:1] = True
     np.not_equal(zs[1:], zs[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    return (x[by_third], y[by_third], starts, zs[starts]), by_third
+    return (x, y, z), (x[by_third], y[by_third], starts, zs[starts]), by_third
 
 
 class TripleSystem:
@@ -88,12 +91,14 @@ class TripleSystem:
             bound = "non-negative" if n < 0 else f"at most {_MAX_ORDER}"
             raise VertexOutOfRange(f"vertex count must be {bound}, got {n}")
         self.n = n
-        # Per triple, a Python loop beats numpy set-up on the few triples of a
-        # search candidate.  An array of canonical rows that casts safely to
-        # intp, as a parsed file's and a generator's do, is taken in bulk: it
-        # needs no sort or dedupe.  uint64, float and object arrays do not
-        # cast, and a bool row is never strictly increasing, so those go per
-        # triple, like any other array.
+        # Per triple go lists, relabelled systems and the search's DFS
+        # placements (a level's first candidate and the witness), whose rows
+        # need not be in lex order, so they are sorted and deduplicated.  An
+        # array of canonical rows that casts safely to intp, as a parsed
+        # file's and a generator's do, is taken in bulk: it needs no sort or
+        # dedupe.  uint64, float and object arrays do not cast, and a bool row
+        # is never strictly increasing, so those go per triple, like any other
+        # array.
         bulk = isinstance(triples, np.ndarray) and triples.shape[1:] == (3,)
         if (
             bulk
@@ -116,8 +121,7 @@ class TripleSystem:
         def row(i: int) -> Triple:
             return tuple(t[i].tolist()) if tri is None else tri[i]
 
-        # pair slot j of triple i is flat index 3i + j: pairs xy, xz, yz
-        x, y, z = (t.take(c, axis=1).ravel() for c in ([0, 0, 1], [1, 2, 2], [2, 1, 0]))
+        (x, y, z), self.sweep_pairs, _ = _sweep_pairs(t)
         codes = x * n + y
         by_code = np.argsort(codes, kind="stable")
         codes = codes[by_code]
@@ -137,7 +141,6 @@ class TripleSystem:
             v = culprit[0] if culprit[0] < 0 else culprit[2]
             message = f"vertex {v} outside [0, {n}) in triple {culprit}"
             raise VertexOutOfRange(message, culprit)
-        self.sweep_pairs = _sweep_pairs(x, y, z)[0]
         self.triple_array, self.pair_codes, self.pair_thirds = t, codes, z[by_code]
         for array in (t, codes, self.pair_thirds, *self.sweep_pairs):
             array.flags.writeable = False

@@ -17,7 +17,8 @@ second triple) whose three pairs are all uncovered.
 So every candidate is linear, and the search checks candidates without
 building them.  A level's first candidate is built and checked as a
 system; the rest go in chunks of 2, 4, 8, ... candidates, up to as many
-as one kernel block holds seeds for, and each chunk closes in one gated
+as one kernel block holds seeds for.  A level's candidates all hold m
+triples, so a chunk is one (K, m, 3) array, and it closes in one gated
 kernel call, one bit per (candidate, seed) pair (see
 closure._weakly_spreading_each).  Only the first passing candidate
 becomes a TripleSystem.  Each candidate carries the node count at which
@@ -31,8 +32,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import combinations, count
+from itertools import chain, combinations, count
 from typing import Iterator
+
+import numpy as np
 
 from .closure import _BLOCK, _weakly_spreading_each, closure, is_weakly_spreading
 from .core import Triple, TripleSystem, build_system
@@ -173,7 +176,9 @@ def _first_passing(
         (cand, nodes), = chunk
         system = build_system(n, cand)
         return (system, nodes) if is_weakly_spreading(system) else None
-    holds = _weakly_spreading_each(n, [cand for cand, _ in chunk])
+    ints = chain.from_iterable(chain.from_iterable(c for c, _ in chunk))
+    cands = np.fromiter(ints, np.intp).reshape(len(chunk), -1, 3)  # np.array is slower
+    holds = _weakly_spreading_each(n, cands)
     if not holds.any():
         return None
     cand, nodes = chunk[int(holds.argmax())]

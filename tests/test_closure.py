@@ -459,8 +459,13 @@ def system_chunks(draw):
 def test_sliced_weak_check_agrees_with_naive_oracle(chunk):
     n, systems = chunk
     want = {t: weakly_spreading_naive(build_system(n, t))[0] for t in set(systems)}
-    holds = kernel._weakly_spreading_each(n, systems)
-    assert holds.tolist() == [want[t] for t in systems]
+    by_size: dict[int, list[tuple]] = {}  # the kernel takes one triple count
+    for t in systems:
+        by_size.setdefault(len(t), []).append(t)
+    for m, group in by_size.items():
+        cands = np.array(group, dtype=np.intp).reshape(len(group), m, 3)
+        holds = kernel._weakly_spreading_each(n, cands)
+        assert holds.tolist() == [want[t] for t in group]
 
 
 @pytest.mark.parametrize("block", BLOCK_SIZES)

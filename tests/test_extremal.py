@@ -5,6 +5,7 @@ from itertools import combinations, islice
 from math import comb
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from ltspread import (
     ordering_witness,
     spreading_6p3,
 )
-from ltspread.closure import _weakly_spreading_each, closure
+from ltspread.closure import _BLOCK, _weakly_spreading_each, closure
 from ltspread.extremal import _level_candidates
 
 from helpers import (
@@ -233,10 +234,23 @@ def test_sliced_weak_check_on_search_candidates(level, data):
     n, cands = level[0], LEVELS[level]
     start = data.draw(st.integers(0, len(cands) - 1))
     chunk = cands[start : start + data.draw(st.integers(1, 40))]
-    holds = _weakly_spreading_each(n, chunk)
+    holds = _weakly_spreading_each(n, np.array(chunk, dtype=np.intp))
     assert holds.tolist() == [
         weakly_spreading_naive(build_system(n, cand))[0] for cand in chunk
     ]
+
+
+@pytest.mark.parametrize(
+    ("n", "m", "size", "passing"), [(10, 7, 780, 102), (9, 6, 1092, 420)]
+)
+def test_sliced_weak_check_on_a_full_block(n, m, size, passing):
+    # the largest chunk the search makes: 16,380 seeds of a 16,384-seed block
+    assert size == _BLOCK // comb(m, 2)
+    chunk = list(islice(_level_candidates(n, m, [0], 10**9), size))
+    holds = _weakly_spreading_each(n, np.array(chunk, dtype=np.intp))
+    want = [is_weakly_spreading(build_system(n, cand)).holds for cand in chunk]
+    assert holds.tolist() == want
+    assert sum(want) == passing
 
 
 def test_minimum_verified_by_unconstrained_search_n5():
