@@ -107,10 +107,27 @@ def _kept_lines(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable
 
 def _integers(words: list[str]) -> list[int] | None:
     """The words as ints, or None unless each is decimal digits after an
-    optional "-" (so "007" and Arabic-Indic digits pass, "+7" and "7_0" not)."""
-    if all(word.removeprefix("-").isdecimal() for word in words):
-        return [int(word) for word in words]
-    return None
+    optional "-" (so "007" and Arabic-Indic digits pass, "+7" and "7_0" not).
+
+    Every vertex and count has at most 18 digits after its leading zeros,
+    but longer words are read exactly, as the line order compares them and
+    the errors name them, up to int()'s digit limit
+    (sys.get_int_max_str_digits(); none before Python 3.10.7).  A word past
+    it reads as that many nines with its sign: as far out of range, above
+    every shorter word, and an int that str() can print."""
+    if not all(word.removeprefix("-").isdecimal() for word in words):
+        return None
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    out = []
+    for word in words:
+        digits = word.removeprefix("-")
+        if 0 < limit < len(digits):  # without its leading zeros, then capped
+            if not digits.isascii():  # one digit at a time, as ASCII
+                digits = "".join(str(int(c)) for c in digits)
+            digits = digits.lstrip("0") or "0"
+            digits = "9" * limit if len(digits) > limit else digits
+        out.append(-int(digits) if word[0] == "-" else int(digits))
+    return out
 
 
 def _read_lines(rows: list[str]) -> np.ndarray:
@@ -241,7 +258,8 @@ _FAMILIES: dict[str, Callable[[argparse.Namespace], TripleSystem]] = {
 def _steiner(system: TripleSystem) -> PropertyVerdict:
     pair = system._first_uncovered()
     witness = None if pair is None else frozenset(pair)
-    return PropertyVerdict(pair is None, witness, len(system.pair_codes))
+    # a linear system covers 3m distinct pairs
+    return PropertyVerdict(pair is None, witness, 3 * len(system.triple_array))
 
 
 # only spreading takes a mode: _cmd_check refuses --mode with the others

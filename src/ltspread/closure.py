@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
-from .core import Triple, TripleSystem, _sweep_pairs
+from .core import Triple, TripleSystem, _slots, _sweep_pairs
 from .errors import BudgetExceeded, OutOfRange
 
 __all__ = [
@@ -326,8 +326,8 @@ def _weakly_spreading_each(n: int, cands: np.ndarray) -> np.ndarray:
     union, which = np.unique(codes.ravel(), return_inverse=True)
     gate = _pack(len(union), np.repeat(which.reshape(k, m), len(i), axis=0))
     ut = np.stack((union // (n * n), union // n % n, union % n), axis=1)
-    _, pairs, order = _sweep_pairs(ut)  # order // 3: each sweep slot's triple
-    closed = _close_batch(n, rows, pairs, gate[order // 3])
+    pairs, owner = _sweep_pairs(*_slots(ut))  # owner: each sweep slot's triple
+    closed = _close_batch(n, rows, pairs, gate[owner])
     fails = _unpack(~np.bitwise_and.reduce(closed, axis=0), len(rows))
     return ~fails.reshape(k, -1).any(axis=1)
 

@@ -2,8 +2,11 @@
 
 A linear triple system on vertices 0..n-1 is a set of three-element blocks
 in which every unordered vertex pair lies in at most one block.  Validation
-happens once, at construction, in numpy; the pair index built there is the
-one that every lookup, closure and property check in the package reads.
+happens once, at construction, in numpy, and builds only what it reads: the
+pair slots of the triples, their codes x*n + y and one plain sort of them.
+The two indexes built from those slots, the pair index that every lookup
+reads and the kernel layout that closure and the property checks read, are
+built on first read, once each, and the slots go when both exist.
 """
 
 from __future__ import annotations
@@ -49,22 +52,34 @@ def _canonical(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return increasing, above
 
 
-def _sweep_pairs(
-    t: np.ndarray,
-) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], np.ndarray]:
+def _slots(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pair slots (x, y, z) of (m, 3) rows of sorted triples, slot j of
-    row i at flat index 3i + j: pairs xy, xz, yz with third point z.  Then
-    the kernel's (x, y, starts, thirds), the slots in a stable sort by third
-    point, where the run from starts[i] has third point thirds[i]; and the
-    order of that sort."""
-    x, y, z = (t.take(c, axis=1).ravel() for c in ([0, 0, 1], [1, 2, 2], [2, 1, 0]))
+    row i at flat index j*m + i: pairs xy, xz, yz with third point z.  One
+    gather of whole columns: a gather across each row is several times
+    slower."""
+    x, y, z = t.T[[0, 0, 1, 1, 2, 2, 2, 1, 0]].reshape(3, -1)
+    return x, y, z
+
+
+def _sweep_pairs(
+    x: np.ndarray, y: np.ndarray, z: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The kernel's (x, y, starts, thirds) of pair slots (x, y, z): the slots
+    in a stable sort by third point, where the run from starts[i] has third
+    point thirds[i]; and the row (triple) of each slot in that sort."""
     by_third = np.argsort(z, kind="stable")
     zs = z[by_third]
     first = np.empty(len(zs), dtype=bool)  # where each third's run begins
     first[:1] = True
     np.not_equal(zs[1:], zs[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    return (x, y, z), (x[by_third], y[by_third], starts, zs[starts]), by_third
+    return (x[by_third], y[by_third], starts, zs[starts]), by_third % (len(z) // 3)
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 class TripleSystem:
@@ -76,14 +91,16 @@ class TripleSystem:
             from triple_array on first access.
         triple_array: the triples as an (m, 3) intp array.
         pair_codes, pair_thirds: the 3m covered pairs x < y as sorted codes
-            x*n + y, and the third vertex of each.
+            x*n + y, and the third vertex of each; built together when a
+            pair lookup first reads them.
         sweep_pairs: the kernel's (x, y, starts, thirds): the pairs grouped
-            by third vertex.  All arrays are read-only and built once.
+            by third vertex; built when closure or a property check first
+            reads it.
+    All arrays are read-only; the three attributes above are built at most
+    once, and a system that only validates never builds them.
     """
 
-    __slots__ = (
-        "n", "_triples", "triple_array", "pair_codes", "pair_thirds", "sweep_pairs"
-    )
+    __slots__ = ("n", "triple_array", "_triples", "_slots", "_index", "_sweep")
 
     def __init__(self, n: int, triples: Iterable[Iterable[int]] = ()):
         n = operator.index(n)
@@ -116,34 +133,69 @@ class TripleSystem:
                 t = np.array(tri, dtype=object).clip(-1, n).astype(np.intp)
         # tri only orders t and names the culprit of an error: the triples
         # property builds the tuple from the array when it is first read
-        self._triples = None
+        self._triples = self._index = self._sweep = None
 
         def row(i: int) -> Triple:
             return tuple(t[i].tolist()) if tri is None else tri[i]
 
-        (x, y, z), self.sweep_pairs, _ = _sweep_pairs(t)
+        # Validation reads only the slots, their codes and a plain sort; the
+        # pair index and the kernel layout are built from the slots when read.
+        x, y, _ = self._slots = _slots(t)
         codes = x * n + y
-        by_code = np.argsort(codes, kind="stable")
-        codes = codes[by_code]
         # The first defect is the lowest triple index with a bad vertex or a
-        # pair covered at a lower index.  The stable sort puts each repeated
-        # cover (flat index f) right after the one before it.  A bad triple's
-        # codes may clash, but never below its own index, where range wins.
+        # pair covered at a lower index.  A bad triple's codes may clash, but
+        # never below its own index, where range wins.
         bad = np.flatnonzero((t[:, 0] < 0) | (t[:, 2] >= n))
         first = int(bad[0]) if bad.size else len(t)
-        if (repeats := np.flatnonzero(codes[1:] == codes[:-1])).size:
+        if (repeats := np.flatnonzero((c := np.sort(codes))[1:] == c[:-1])).size:
+            # The codes in row order, slot j of triple i at 3i + j, sorted
+            # stably: the same values, so the same repeats, and each repeated
+            # cover (at f) comes right after the one before it.
+            codes = codes.reshape(3, -1).T.ravel()
+            by_code = np.argsort(codes, kind="stable")
             k = repeats[np.argmin(by_code[repeats + 1])]
             if (f := int(by_code[k + 1])) // 3 < first:
-                pair = (int(x[f]), int(y[f]))
+                pair = divmod(int(codes[f]), n)  # in range: it is below first
                 raise DuplicatePairCoverage(pair, (row(by_code[k] // 3), row(f // 3)))
         if bad.size:
             culprit = row(first)
             v = culprit[0] if culprit[0] < 0 else culprit[2]
             message = f"vertex {v} outside [0, {n}) in triple {culprit}"
             raise VertexOutOfRange(message, culprit)
-        self.triple_array, self.pair_codes, self.pair_thirds = t, codes, z[by_code]
-        for array in (t, codes, self.pair_thirds, *self.sweep_pairs):
-            array.flags.writeable = False
+        t.flags.writeable = False
+        self.triple_array = t
+
+    @property
+    def pair_codes(self) -> np.ndarray:
+        return self._pair_index()[0]
+
+    @property
+    def pair_thirds(self) -> np.ndarray:
+        return self._pair_index()[1]
+
+    def _pair_index(self) -> tuple[np.ndarray, ...]:
+        if self._index is None:
+            x, y, z = self._slots or _slots(self.triple_array)
+            codes = x * self.n + y
+            by_code = np.argsort(codes, kind="stable")
+            self._index = _frozen(codes[by_code], z[by_code])
+            self._release_slots()
+        return self._index
+
+    @property
+    def sweep_pairs(self) -> tuple[np.ndarray, ...]:
+        if self._sweep is None:
+            slots = self._slots or _slots(self.triple_array)
+            self._sweep = _frozen(*_sweep_pairs(*slots)[0])
+            self._release_slots()
+        return self._sweep
+
+    def _release_slots(self) -> None:
+        """The slots are read only to build the two caches: once both are
+        built, they go.  A thread that raced those builds finds None and
+        takes the slots again from triple_array."""
+        if self._index is not None and self._sweep is not None:
+            self._slots = None
 
     @property
     def triples(self) -> tuple[Triple, ...]:
@@ -187,8 +239,9 @@ class TripleSystem:
         return ok and self.third_point(t[0], t[1]) == t[2]
 
     def is_steiner(self) -> bool:
-        """True when every pair of vertices is covered by a triple."""
-        return len(self.pair_codes) == self.n * (self.n - 1) // 2
+        """True when every pair of vertices is covered by a triple: a linear
+        system covers 3m distinct pairs."""
+        return 3 * len(self.triple_array) == self.n * (self.n - 1) // 2
 
     def _first_uncovered(self) -> Pair | None:
         """The lexicographically first uncovered pair, or None, in O(m): code

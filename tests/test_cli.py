@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest.mock import patch
 
@@ -399,6 +400,39 @@ def test_triples_are_built_on_first_access():
     assert parsed.triples == system.triples and parsed._triples is parsed.triples
 
 
+def test_validation_alone_builds_no_pair_index_or_kernel_layout(tmp_path, capsys):
+    # construct, the linear and Steiner checks (on a Steiner system: the
+    # first uncovered pair is looked up only when there is one) and parse
+    # read neither cache; the steiner check counts 3m covered pairs
+    path = write(tmp_path, "sts15.lts", serialize_system(bose_skolem(5)))
+    built = AssertionError("a pair index or kernel layout was built")
+    argvs = [
+        ["construct", "--family", family, "--p", "5", "--json"]
+        for family in ("bose-skolem", "spreading-6p3", "cayley-latin", "star-expansion")
+    ]
+    checks = ("linear", "steiner")
+    argvs += [["check", "--input", path, "--property", p] for p in checks]
+    with (
+        patch.object(core.TripleSystem, "_pair_index", side_effect=built),
+        patch.object(core, "_sweep_pairs", side_effect=built),
+    ):
+        for argv in argvs:
+            assert run_cli(capsys, *argv)[0] == 0
+        parse_system(serialize_system(bose_skolem(5)))
+    assert json.loads(run_cli(capsys, *argvs[-1])[1])["checked_count"] == 105
+    # the Steiner check leaves only its verdict behind: no index it never read
+    system = bose_skolem(67)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        verdict = cli._PROPERTIES["steiner"](system)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert verdict.holds and verdict.checked_count == 3 * len(system.triple_array)
+    assert retained < 1024 and system._index is None
+
+
 def _label(digits):
     # the labels of exactly the given number of digits
     return st.integers(10 ** (digits - 1) if digits > 1 else 0, 10**digits - 1)
@@ -695,6 +729,46 @@ def test_the_integer_readers_share_one_rule(tmp_path, capsys, token, integer):
     }
     for fragment, error in errors.items():
         assert (fragment in error) is not integer, (fragment, error)
+
+
+WIDE = "9" * 5000  # past int()'s default limit of 4,300 digits
+
+
+@pytest.mark.parametrize(
+    "argv, text, code",
+    [
+        (["check", "--property", "linear"], f"lts 1\n5 1\n0 1 {WIDE}\n", 3),
+        (["check", "--property", "linear"], f"lts 1\n{WIDE} 0\n", 3),
+        (["closure", f"--set=0,{WIDE}"], serialize_system(bose_skolem(3)), 2),
+        (["construct", "--family", "crowning", "--p", "3", f"--keep={WIDE}"], None, 2),
+    ],
+    ids=["triple-line", "counts-line", "set", "keep"],
+)
+def test_a_word_past_the_int_digit_limit_is_out_of_range(
+    tmp_path, capsys, argv, text, code
+):
+    # each exits as its 30-digit form does, with one error line
+    for word in (WIDE, "9" * 30):
+        args = [arg.replace(WIDE, word) for arg in argv]
+        if text is not None:
+            args += ["--input", write(tmp_path, "wide.lts", text.replace(WIDE, word))]
+        got, out, err = run_cli(capsys, *args)
+        assert (got, out) == (code, "") and err.count("error: ") == 1
+
+
+def test_words_past_the_int_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    nines = int("9" * limit)
+    assert cli._integers([WIDE, "-" + WIDE, "0" * 5000 + "5"]) == [nines, -nines, 5]
+    assert cli._integers(["-" + "\u0660" * 5000 + "\u0667"]) == [-7]  # Arabic-Indic
+    # read as that many nines, a word still compares above every shorter one
+    text = f"lts 1\n9 2\n0 1 {'9' * (limit - 1)}\n0 1 {WIDE}\n"
+    assert parse_error(text).startswith("line 3: vertex outside [0, 9) in (0, 1, 99")
+    try:  # the lowest limit Python takes
+        sys.set_int_max_str_digits(640)
+        assert cli._integers(["1" * 641, "1" * 640]) == [int("9" * 640), int("1" * 640)]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("text", ["", " ", "\t "])

@@ -653,8 +653,10 @@ def test_expander_never_builds_a_table_beyond_pair_bytes():
 
 def test_closure_memory_is_bounded_by_the_pairs_read():
     # a round holds about 18 bytes per pair it reads; on spreading_6p3(101)
-    # the largest rounds read up to about 126,000 of its 154,836 pairs
+    # the largest rounds read up to about 126,000 of its 154,836 pairs.  The
+    # kernel layout, built on first read, is the system's memory, not a round's.
     s = spreading_6p3(101)
+    s.sweep_pairs
     rng = random.Random(101)
     for _ in range(20):
         q = rng.sample(range(s.n), 3)

@@ -195,6 +195,15 @@ def _inject(rng, kind, n, triples):
         }[kind]
         thirds = [w for w in thirds or outside if w not in (a, b)]
         return (a, b, rng.choice(thirds))
+    in_range = [t for t in triples if 0 <= min(t) and max(t) < n]
+    if kind in ("alias", "wrap") and in_range:
+        # an out-of-range triple one of whose pair codes x*n + y equals that
+        # of a covered pair (a, b): (a - 1, n + b), or, for even n, (a - 2**63,
+        # b), whose code wraps around in int64
+        a, b = sorted(rng.sample(rng.choice(in_range), 2))
+        if kind == "alias" or n % 2:
+            return (a - 1, rng.randrange(a, n + b), n + b)
+        return (a - 2**63, b, rng.randrange(b + 1, n + 2))
     if kind == "negative":
         return (-rng.randint(1, 3), *rng.sample(range(n + 2), 2))
     if kind == "vertex-n":
@@ -280,6 +289,43 @@ def test_build_system_from_arrays_reports_the_naive_first_defect(seed, n, kinds)
         assert not per_triple.called
         if expected is None:
             assert_same_index(s, build_system(n, canonical))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 12),
+    st.lists(
+        st.sampled_from(
+            ["pair-xy", "pair-xz", "pair-yz", "alias", "wrap", "negative", "vertex-n"]
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_bulk_arrays_with_repeated_codes_report_the_naive_first_defect(
+    seed, n, kinds
+):
+    """Canonical int64 arrays, taken in bulk, whose pair codes repeat: pairs
+    covered again, and out-of-range vertices whose codes equal a covered
+    pair's, directly or by wrapping around.  The plain sort finds the
+    repeats, and the stable sort then names the naive first defect."""
+    rng = random.Random(seed)
+    triples = list(random_linear_system(rng, n).triples)
+    # wrapping triples last: the pair kinds would pick thirds between a
+    # vertex near -2**63 and the next
+    for kind in sorted(kinds, key=lambda kind: kind == "wrap"):
+        triples.append(_inject(rng, kind, n, triples))
+    canonical = sorted({tuple(sorted(t)) for t in triples})
+    array = np.array(canonical, np.int64).reshape(-1, 3)
+    expected = first_defect_naive(n, canonical)
+    wrapped = core._normalize_triple
+    with patch.object(core, "_normalize_triple", wraps=wrapped) as per_triple:
+        if expected is None:
+            assert build_system(n, array).triples == tuple(canonical)
+        else:
+            assert_first_defect(n, array, expected)
+    assert not per_triple.called
 
 
 def assert_first_defect(n, given_, expected):
@@ -439,15 +485,81 @@ def test_list_and_array_built_systems_agree(s, rng):
 
 
 def test_index_is_compact():
-    # The pair index is arrays of intp: about 120 bytes per triple on a
-    # 64-bit build.  A dict keyed by pair tuples needs over 250.
+    # The pair index and the kernel layout, once both are read, are arrays
+    # of intp: 120 bytes per triple on a 64-bit build, with the triple array.
+    # A dict keyed by pair tuples needs over 250.
     triples = list(spreading_6p3(31).triples)
     tracemalloc.start()
     try:
         s = build_system(189, triples)
+        s.pair_codes, s.sweep_pairs
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert retained < 160 * len(triples)
     arrays = (s.triple_array, s.pair_codes, s.pair_thirds, *s.sweep_pairs)
     assert not any(a.flags.writeable for a in arrays)
+
+
+def traced_growth(call):
+    """The result of call() and the traced memory it left behind."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_validation_retains_the_triples_and_their_slots():
+    # Per triple: the (m, 3) array, 24 bytes, and the pair slots x, y, z
+    # that validation reads, 72; the caches come on first read.  Built at
+    # once with the system, they retained 120.2 bytes.
+    a = spreading_6p3(101).triple_array
+    s, retained = traced_growth(lambda: build_system(609, a))
+    assert retained < 97 * len(a)
+    # a linear system covers 3m pairs, so Steiner is a count, not a lookup
+    sts = bose_skolem(67)
+    assert traced_growth(sts.is_steiner) == (True, 0)
+    assert sts._index is None and sts._sweep is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_systems, st.integers(0, 3), st.booleans())
+def test_lazy_caches_agree_with_eager_ones(s, bare, index_first):
+    # bare vertices past the last one, besides those the system has
+    s = build_system(s.n + bare, s.triple_array)
+    assert s._index is None and s._sweep is None
+    t, n = s.triple_array, s.n
+    rows = [(a, b, c) for a, b, c in t.tolist()]
+    slots = [(a, b, c) for a, b, c in rows] + [(a, c, b) for a, b, c in rows]
+    slots += [(b, c, a) for a, b, c in rows]
+    x, y, z = np.array(slots, dtype=np.intp).reshape(-1, 3).T
+    codes = x * n + y
+    by_code = np.argsort(codes, kind="stable")
+    eager = (codes[by_code], z[by_code], *core._sweep_pairs(x, y, z)[0])
+    # the kernel layout lists, for each third point, the pairs it completes
+    xs, ys, starts, thirds = eager[2:]
+    groups = np.split(np.stack((xs, ys), axis=1), starts[1:])
+    assert len(groups) == len(thirds) or not len(t)
+    for w, group in zip(thirds.tolist(), groups):
+        expected = sorted((a, b) for a, b, c in slots if c == w)
+        assert sorted(map(tuple, group.tolist())) == expected
+    first = ("pair_codes", "sweep_pairs") if index_first else ("sweep_pairs",)
+    for name in first:
+        getattr(s, name)
+    lazy = (s.pair_codes, s.pair_thirds, *s.sweep_pairs)
+    assert s._slots is None  # once both caches are built, the slots go
+    for a, b in zip(lazy, eager):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert not a.flags.writeable
+    again = (s.pair_codes, s.pair_thirds, *s.sweep_pairs)
+    assert all(a is b for a, b in zip(lazy, again))
+    with pytest.raises(AttributeError):
+        s.pair_codes = eager[0]
+    # a thread whose build raced the other one's finds no slots: it takes
+    # them again from the triple array
+    s._index = s._sweep = None
+    for a, b in zip((s.pair_codes, s.pair_thirds, *s.sweep_pairs), eager):
+        assert np.array_equal(a, b)

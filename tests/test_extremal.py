@@ -220,6 +220,9 @@ def test_search_builds_only_lone_candidates_and_the_witness():
         build_system(10, next(_level_candidates(10, 7, [0], 10**9))),
         result.witness,
     ]
+    # the witness comes from a slice, so it is only validated: it builds
+    # neither its pair index nor its kernel layout
+    assert result.witness._index is None and result.witness._sweep is None
 
 
 LEVELS = {
