@@ -26,10 +26,14 @@ The extremal search checks a chunk of candidate systems, one (K, m, 3)
 array, in one kernel call (_weakly_spreading_each): it sweeps the union of
 their triples under a gate, one packed row per pair, that lets each triple
 act only on the seeds of the candidates holding it.
-expander_deficiency scans every size from 1 up, so it builds each size's
-packed, lex-ordered table from the size below by Pascal's rule (_subsets)
-and sweeps word-aligned slices of it; a size whose table would outgrow
-_PAIR_BYTES gets its blocks built one at a time by the same rule.
+expander_deficiency runs no sweep.  It scans every size from 1 up and
+builds each size's packed, lex-ordered sets from the size below by
+Pascal's rule (_subsets), with one row per vertex in some triple for the
+third points of their covered pairs: those of {a} plus T are those of T
+and, a row permutation of T, the third points of the pairs {a, t}.  Less
+the set itself, that is its neighbourhood, so a block is only counted.
+Each size but the last is one table, sliced into blocks, when it fits
+within _PAIR_BYTES; other sizes are built block by block by the same rule.
 neighbourhood() looks the O(|S|^2) pairs of its set up in the system's
 pair index, by vertex pair.  Witnesses: seeds go in size-ascending, then
 lexicographic order, and the first failure is the lowest failing bit of
@@ -143,7 +147,9 @@ _PAIR_BYTES = 1 << 23
 def _block_size(system: TripleSystem) -> int:
     """Seeds per block: _BLOCK, or fewer (a multiple of 64, at least 64) when
     a pair-indexed sweep temporary, or an n x block byte matrix such as
-    _pack's, would outgrow _PAIR_BYTES."""
+    _pack's, would outgrow _PAIR_BYTES.  Only the verifiers sweep, so only
+    they need the 3m bound; the expander, which unpacks at most n rows of a
+    block, takes the same blocks."""
     n, m = system.n, len(system.triple_array)
     fit = min(_PAIR_BYTES * 8 // (3 * m or 1), _PAIR_BYTES // (n or 1))
     return min(_BLOCK, max(64, fit // 64 * 64))
@@ -198,29 +204,25 @@ def _unpack(words: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=-1, count=count, bitorder="little")
 
 
-def _neighbourhoods(
-    m: np.ndarray, pairs: tuple[np.ndarray, ...], gate: np.ndarray | None = None
-) -> np.ndarray:
-    """One sweep: N[z] = OR of M[x] & M[y] over the pairs of z, minus M[z].
-    A gate, one packed row per pair, masks each term M[x] & M[y]."""
-    x, y, starts, zs = pairs
-    terms = m[x] & m[y]
-    if gate is not None:
-        terms &= gate
-    return np.bitwise_or.reduceat(terms, starts) & ~m[zs]
-
-
 def _close_batch(
     n: int,
     rows: np.ndarray,
     pairs: tuple[np.ndarray, ...],
     gate: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Packed closures of seed rows: sweep until no closure grows."""
+    """Packed closures of seed rows: sweep until no closure grows.  A sweep
+    grows M[z] by N[z], the OR of M[x] & M[y] over the pairs of z, minus
+    M[z].  A gate, one packed row per pair, masks each term M[x] & M[y]."""
+    x, y, starts, zs = pairs
     m = _pack(n, rows)
-    while (grow := _neighbourhoods(m, pairs, gate)).any():
-        m[pairs[3]] |= grow
-    return m
+    while True:
+        terms = m[x] & m[y]
+        if gate is not None:
+            terms &= gate
+        grow = np.bitwise_or.reduceat(terms, starts) & ~m[zs]
+        if not grow.any():
+            return m
+        m[zs] |= grow
 
 
 def _scan(system: TripleSystem, blocks: Iterable, witness: Callable) -> PropertyVerdict:
@@ -362,20 +364,26 @@ def is_strongly_connected(system: TripleSystem) -> PropertyVerdict:
 _ONES = (1 << 64) - 1
 
 
-def _copy_bits(dst: np.ndarray, d: int, src: np.ndarray, s: int, length: int) -> None:
+def _copy_bits(
+    dst: np.ndarray, d: int, src: np.ndarray, s: int, length: int
+) -> np.ndarray:
     """OR bits s..s+length-1 of each src row into bits d..d+length-1 of the
-    same dst row."""
+    same dst row, and return those bits as they were ORed: one row per src
+    row, over dst's words from d // 64 on."""
     w0, w1 = d >> 6, (d + length + 63) >> 6
     q, r = divmod(64 * w0 + s - d, 64)  # src word and bit of dst bit 64 * w0
-    words = np.zeros((len(src), w1 - w0 + 1), dtype=np.uint64)
-    lo, hi = max(q, 0), min(q + w1 - w0 + 1, src.shape[1])
-    words[:, lo - q : hi - q] = src[:, lo:hi]
-    part = words[:, :-1] >> r
+    # word i of part is src word q + i shifted down by r, ORed with src word
+    # q + i + 1 shifted up by 64 - r; src words outside src read as 0
+    part = np.zeros((len(src), w1 - w0), dtype=np.uint64)
+    lo, hi = max(q, 0), min(q + w1 - w0, src.shape[1])
+    np.right_shift(src[:, lo:hi], r, out=part[:, lo - q : hi - q])
     if r:
-        part |= words[:, 1:] << (64 - r)
+        lo, hi = max(q + 1, 0), min(q + 1 + w1 - w0, src.shape[1])
+        part[:, lo - q - 1 : hi - q - 1] |= src[:, lo:hi] << (64 - r)
     part[:, 0] &= (_ONES << (d & 63)) & _ONES
     part[:, -1] &= _ONES >> (-(d + length) & 63)
     dst[:, w0:w1] |= part
+    return part
 
 
 def _stripe(row: np.ndarray, d: int, length: int) -> None:
@@ -390,21 +398,60 @@ def _stripe(row: np.ndarray, d: int, length: int) -> None:
         row[w1] |= last
 
 
-def _subsets(
-    n: int, k: int, start: int, stop: int, table: np.ndarray | None, level: int
-) -> np.ndarray:
-    """The k-subsets of range(n) of lexicographic rank start..stop-1 as an
-    (n, words) uint64 M: bit i of row v says v is in the subset of rank
-    start + i.  table packs all the level-subsets (None at level 0), and
-    level < k.
+def _third_rows(n: int, triples: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The layout _subsets reads: (thirds, cuts, rows, above).  thirds are
+    the vertices in some triple, and third-point row i, stacked under the n
+    subset rows, belongs to thirds[i].  For each covered pair {a, t} with
+    t > a and third point v, rows holds v's stacked row and above holds
+    t - a - 1, grouped by a: those of a are cuts[a]:cuts[a + 1].  Vertices
+    are held in the smallest unsigned type that fits n."""
+    t = triples.astype(np.min_scalar_type(n))
+    p, q, r = t.T
+    a = np.concatenate((p, p, q))  # each triple p < q < r gives three pairs
+    order = np.argsort(a, kind="stable")
+    cuts = np.searchsorted(a[order], np.arange(n + 1, dtype=a.dtype)).tolist()
+    used = np.zeros(n, dtype=bool)
+    used[t] = True
+    thirds = np.flatnonzero(used)
+    row = np.zeros(n, dtype=np.min_scalar_type(2 * n))
+    row[thirds] = np.arange(n, n + len(thirds))
+    rows = row[np.concatenate((r, q, p))[order]]
+    above = np.concatenate((q - p, r - p, r - q))[order] - 1
+    return thirds, cuts, rows, above
 
-    Pascal's rule: the k-subsets with least vertex a are {a} plus the last
-    C(n-1-a, k-1) (k-1)-subsets, those above a.  Each least vertex costs one
-    bit-shifted copy of those, out of table when level == k - 1 and else out
-    of a range of size k - 1 built by this rule, and one stripe of ones in
-    row a.
+
+def _subsets(
+    n: int,
+    k: int,
+    start: int,
+    stop: int,
+    table: np.ndarray | None,
+    level: int,
+    layout: tuple[np.ndarray, ...],
+) -> np.ndarray:
+    """The k-subsets of range(n) of lexicographic rank start..stop-1 and
+    their neighbourhoods, as one uint64 M of n + len(thirds) rows (layout is
+    _third_rows's): bit i of row v < n says v is in the subset of rank
+    start + i, and bit i of row n + j that thirds[j] is in its
+    neighbourhood or in the subset itself, which the caller clears.  table
+    holds all the level-subsets so (None at level 0), and level < k.
+
+    Pascal's rule: the k-subsets with least vertex a are S = {a} plus T, for
+    T the last C(n-1-a, k-1) (k-1)-subsets, those above a, out of table
+    when level == k - 1 and else out of a range of size k - 1 built by this
+    rule.  The covered pairs inside S are those inside T and the pairs
+    {a, t}, so N(S) is N(T) plus sigma_a(T), less S, where sigma_a(t) is
+    the third point of {a, t}.  Each least vertex costs one bit-shifted
+    copy of the rows above a, the third-point rows with them, one stripe of
+    ones in row a, and an OR of each copied subset row t into the
+    third-point row of sigma_a(t), for each t above a with one.
     """
-    out = np.zeros((n, -(-(stop - start) // 64)), dtype=np.uint64)
+    thirds, cuts, rows, above = layout
+    out = np.zeros((n + len(thirds), -(-(stop - start) // 64)), dtype=np.uint64)
+    if k == 1:  # the 1-subset of rank start + i is {start + i}
+        i = np.arange(stop - start)
+        out[start + i, i >> 6] = np.uint64(1) << (i & 63).astype(np.uint64)
+        return out
     total, below = math.comb(n, k), math.comb(n, k - 1)
 
     def ahead(a: int) -> int:  # the k-subsets with least vertex <= a
@@ -414,15 +461,47 @@ def _subsets(
     at = start
     while at < stop:
         end = min(stop, ahead(a))
-        if k > 1:  # the 0-subset {} has no bits to copy
-            s = below - math.comb(n - 1 - a, k - 1) + at - ahead(a - 1)
-            src = table
-            if level < k - 1:
-                src, s = _subsets(n, k - 1, s, s + end - at, table, level), 0
-            _copy_bits(out[a + 1 :], at - start, src[a + 1 :], s, end - at)
+        s = below - math.comb(n - 1 - a, k - 1) + at - ahead(a - 1)
+        src = table
+        if level < k - 1:
+            src, s = _subsets(n, k - 1, s, s + end - at, table, level, layout), 0
+        part = _copy_bits(out[a + 1 :], at - start, src[a + 1 :], s, end - at)
+        lo, hi, w = cuts[a], cuts[a + 1], (at - start) >> 6
+        if hi > lo:  # part row t - a - 1 is subset row t
+            out[rows[lo:hi], w : w + part.shape[1]] |= part[above[lo:hi]]
         _stripe(out[a], at - start, end - at)
         at, a = end, a + 1
     return out
+
+
+def _subset_blocks(
+    system: TripleSystem, max_size: int, block: int
+) -> Iterator[tuple[int, int, int, np.ndarray]]:
+    """(k, start, stop, M) for the k-subsets of lexicographic rank
+    start..stop-1, block by block, for k = 1..max_size in turn.  M is as
+    _subsets gives it, with each subset's own vertices cleared from its
+    third-point rows, which then hold exactly its neighbourhood.  Each size
+    but the last is built as one table from the table of the size below
+    when it fits within _PAIR_BYTES, and the blocks are slices of it; the
+    blocks of other sizes are built one by one from the largest table
+    built."""
+    n = system.n
+    layout = _third_rows(n, system.triple_array)
+    thirds = layout[0]
+    table, level = None, 0  # table holds all level-sets, the largest size built
+    for k in range(1, max_size + 1):
+        count = math.comb(n, k)
+        fits = (n + len(thirds)) * -(-count // 64) * 8 <= _PAIR_BYTES
+        if k < max_size and level == k - 1 and fits:
+            table, level = _subsets(n, k, 0, count, table, level, layout), k
+        for start in range(0, count, block):
+            stop = min(start + block, count)
+            if level == k:  # a view: the table is cleared with it
+                m = table[:, start // 64 : -(-stop // 64)]
+            else:
+                m = _subsets(n, k, start, stop, table, level, layout)
+            m[n:] &= ~m[thirds]
+            yield k, start, stop, m
 
 
 def expander_deficiency(
@@ -435,11 +514,11 @@ def expander_deficiency(
 
     max_size defaults to n // 2, the range of interest for expansion.  The
     planned subset count is checked against budget up front and raises
-    BudgetExceeded stating the largest size that still fits.  One sweep of
-    the batch kernel gives the neighbourhoods of a block of sets.  The sets
-    of each size are a packed, lex-ordered table built from the size below
-    (see _subsets); a table that would outgrow _PAIR_BYTES is never built,
-    and its blocks are built one by one instead.
+    BudgetExceeded stating the largest size that still fits.  The sets of
+    each size and their neighbourhoods come in packed, lex-ordered blocks
+    built from the size below by Pascal's rule (see _subsets and
+    _subset_blocks), so each block only has its neighbourhood rows
+    counted; no table larger than _PAIR_BYTES is built.
     """
     n = system.n
     if max_size is not None and max_size < 1:
@@ -458,33 +537,22 @@ def expander_deficiency(
                 f"(budget {budget}); size {k - 1} is the largest that fits"
             )
 
-    pairs, block = system.sweep_pairs, _block_size(system)
     rows = system.triple_array.tolist() if max_size >= 3 else []
     triples = np.array([_rank(n, t) for t in rows], int)  # ascending, as rows are
-    table, level = None, 0  # table packs all level-sets, the largest size built
     per_size: dict[int, int] = {}
     attainers: list[tuple[int, int, int]] = []  # (deficiency, size, lex rank)
     ratios: list[Fraction] = []
-    for k in range(1, max_size + 1):
-        count = math.comb(n, k)
-        if level == k - 1 and n * -(-count // 64) * 8 <= _PAIR_BYTES:
-            table, level = _subsets(n, k, 0, count, table, level), k
-        for start in range(0, count, block):
-            stop = min(start + block, count)
-            if level == k:
-                m = table[:, start // 64 : -(-stop // 64)]
-            else:
-                m = _subsets(n, k, start, stop, table, level)
-            bits = _unpack(_neighbourhoods(m, pairs), stop - start)
-            counts = bits.sum(0, dtype=np.min_scalar_type(n))  # each at most n
-            idx = int(np.argmin(counts))
-            per_size[k] = min(per_size.get(k, n), int(counts[idx]))
-            attainers.append((int(counts[idx]) - (k - 3), k, start + idx))
-            if k == 3:
-                lo, hi = np.searchsorted(triples, (start, stop))
-                counts = np.delete(counts, triples[lo:hi] - start)
-            if k >= 3 and counts.size:
-                ratios.append(Fraction(int(counts.min()), k))
+    for k, start, stop, m in _subset_blocks(system, max_size, _block_size(system)):
+        bits = _unpack(m[n:], stop - start)
+        counts = bits.sum(0, dtype=np.min_scalar_type(n))  # each at most n
+        idx = int(np.argmin(counts))
+        per_size[k] = min(per_size.get(k, n), int(counts[idx]))
+        attainers.append((int(counts[idx]) - (k - 3), k, start + idx))
+        if k == 3:
+            lo, hi = np.searchsorted(triples, (start, stop))
+            counts = np.delete(counts, triples[lo:hi] - start)
+        if k >= 3 and counts.size:
+            ratios.append(Fraction(int(counts.min()), k))
     deficiency, k, rank = min(attainers)
     worst = frozenset(next(_combinations(n, k, 1, rank))[0].tolist())
     return ExpanderReport(deficiency, per_size, worst, min(ratios, default=None))

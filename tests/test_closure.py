@@ -326,25 +326,52 @@ def test_expander_worst_set_prefers_smallest_size_then_lex():
 kernel = importlib.import_module("ltspread.closure")
 BLOCK_SIZES = [kernel._BLOCK, 64]
 # At 256 bytes the expander builds no seed table past 256 bytes (at n = 12,
-# none past size 2): it assembles those sizes block by block from ranges of
+# none past size 1): it assembles those sizes block by block from ranges of
 # the size below.
 PAIR_BYTES = [kernel._PAIR_BYTES, 256]
 
 
+def _packed_neighbourhoods(s, rows) -> np.ndarray:
+    """The naive neighbourhoods of seed rows, packed as the expander's blocks
+    hold them: one row per vertex in some triple, one bit per seed."""
+    thirds = sorted(s.span())
+    bits = np.zeros((len(thirds), -(-len(rows) // 64) * 64), dtype=bool)
+    for i, row in enumerate(rows):
+        out = neighbourhood_naive(s, row)
+        bits[[j for j, v in enumerate(thirds) if v in out], i] = True
+    return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+
+
 @pytest.mark.parametrize("pair_bytes", PAIR_BYTES)
 def test_expander_seed_blocks_are_the_lex_ordered_subsets(pair_bytes):
-    for n in range(1, 13):
+    # each block the expander counts holds the lex-ordered k-subsets and,
+    # under them, their neighbourhoods; bare systems have no neighbourhood rows
+    rng = random.Random(335)
+    systems = [build_system(n) for n in range(1, 13)] + [bose_skolem(3)]
+    systems += [random_linear_system(rng, n, 1.5) for n in range(3, 13)]
+    builder = kernel._subset_blocks
+    for s in systems:
+        n, seen = s.n, []
+
+        def spy(*args):
+            for k, start, stop, m in builder(*args):
+                seen.append((k, start, stop, m.copy()))
+                yield k, start, stop, m
+
         with patch.object(kernel, "_PAIR_BYTES", pair_bytes), patch.object(
-            kernel, "_neighbourhoods", wraps=kernel._neighbourhoods
-        ) as sweep:
-            expander_deficiency(build_system(n), max_size=n, budget=2**n)
-            block = kernel._block_size(build_system(n))
-        blocks = (call.args[0] for call in sweep.call_args_list)
+            kernel, "_subset_blocks", spy
+        ):
+            expander_deficiency(s, max_size=n, budget=2**n)
+            block = kernel._block_size(s)
+        blocks = iter(seen)
         for k in range(1, n + 1):
             subsets = np.array(list(combinations(range(n), k)))
             for start in range(0, len(subsets), block):
-                want = kernel._pack(n, subsets[start : start + block])
-                np.testing.assert_array_equal(next(blocks), want)
+                rows = subsets[start : start + block]
+                got_k, got_start, stop, m = next(blocks)
+                assert (got_k, got_start, stop) == (k, start, start + len(rows))
+                np.testing.assert_array_equal(m[:n], kernel._pack(n, rows))
+                np.testing.assert_array_equal(m[n:], _packed_neighbourhoods(s, rows))
         assert next(blocks, None) is None
 
 
@@ -392,19 +419,30 @@ def test_brute_force_and_closure_agree_with_naive_oracles(block, s, rng):
         assert cl == frozenset(closure_naive(s, sub))
 
 
+@st.composite
+def padded_systems(draw):
+    """random_systems with up to two more vertices, in no triple, and the
+    labels shuffled, so that vertices in no triple may fall anywhere."""
+    s = draw(random_systems)
+    n = s.n + draw(st.integers(0, 2))
+    perm = draw(st.permutations(range(n)))
+    return build_system(n, [[perm[v] for v in t] for t in s.triples])
+
+
 @pytest.mark.parametrize(
     "block, pair_bytes",
     [pytest.param(b, PAIR_BYTES[0], id=str(b)) for b in BLOCK_SIZES]
     + [pytest.param(64, PAIR_BYTES[1], id=f"64-pair_bytes_{PAIR_BYTES[1]}")],
 )
 @settings(max_examples=25, deadline=None)
-@given(random_systems)
-def test_kernel_expander_agrees_with_naive_oracle(block, pair_bytes, s):
+@given(padded_systems(), st.data())
+def test_kernel_expander_agrees_with_naive_oracle(block, pair_bytes, s, data):
+    max_size = data.draw(st.none() | st.integers(1, s.n), label="max_size")
     with patch.object(kernel, "_BLOCK", block), patch.object(
         kernel, "_PAIR_BYTES", pair_bytes
     ):
-        rep = expander_deficiency(s)
-    want = expander_naive(s)
+        rep = expander_deficiency(s, max_size)
+    want = expander_naive(s, max_size)
     assert rep.min_deficiency == want["min_deficiency"]
     assert rep.per_size_min_neighbourhood == want["per_size_min_neighbourhood"]
     assert rep.worst_set == want["worst_set"]
@@ -623,8 +661,9 @@ def test_strong_connectivity_stops_at_closed_4set(block):
 
 
 def test_kernel_memory_is_bounded_by_triple_count():
-    # 4,992 triples: a full 2^14-seed block would hold two pair-indexed
-    # temporaries of about 29 MiB each; smaller blocks cap each at 8 MiB
+    # 4,992 triples: a full 2^14-seed block of a verifier's sweep would hold
+    # two pair-indexed temporaries of about 29 MiB each, and smaller blocks
+    # cap each at 8 MiB; the expander, which sweeps no pairs, holds neither
     s = spreading_6p3(31)
     rep, peak = traced_peak(lambda: expander_deficiency(s, max_size=2))
     assert rep.per_size_min_neighbourhood == {1: 0, 2: 0}
@@ -648,6 +687,17 @@ def test_expander_never_builds_a_table_beyond_pair_bytes():
     # the size-2 table on 600 vertices would take 12.9 MiB
     rep, peak = traced_peak(lambda: expander_deficiency(build_system(600), max_size=2))
     assert rep.per_size_min_neighbourhood == {1: 0, 2: 0}
+    assert peak < kernel._PAIR_BYTES
+
+
+def test_expander_memory_with_many_triples():
+    # 51,612 triples on 609 vertices: sweeping the 154,836 covered pairs for
+    # each block held pair-indexed temporaries past 8 MiB, where the
+    # neighbourhood rows take one row per vertex
+    s = spreading_6p3(101)
+    rep, peak = traced_peak(lambda: expander_deficiency(s, max_size=2))
+    assert rep.per_size_min_neighbourhood == {1: 0, 2: 0}
+    assert (rep.min_deficiency, rep.worst_set) == (1, frozenset({0, 307}))
     assert peak < kernel._PAIR_BYTES
 
 
