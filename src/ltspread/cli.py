@@ -59,9 +59,32 @@ _HEADER = "lts 1"
 
 
 def serialize_system(system: TripleSystem) -> str:
+    """The .lts text of system: "lts 1\\n", then "n m\\n", then one line per
+    triple in the system's order, its vertices in decimal with no leading
+    zeros, split by single spaces and ended by "\\n".  No comments, blank
+    lines or other whitespace: these are the plain lines that parse_system
+    reads in bulk.  Built as one byte matrix, a row per vertex: its digits
+    right-aligned, then a space, or "\\n" after a triple's third vertex."""
     a = system.triple_array
     head = f"{_HEADER}\n{system.n} {len(a)}\n"
-    return head + ("%d %d %d\n" * len(a)) % tuple(a.ravel().tolist())
+    if not len(a):
+        return head
+    v = a.ravel().astype(np.uint32)  # every vertex is below core._MAX_ORDER < 2**32
+    d = len(str(int(v.max())))
+    chars = np.empty((len(v), d + 1), dtype=np.uint8)
+    q = v
+    for k in range(d - 1, -1, -1):
+        # floor_divide by a scalar is vectorised; np.divmod is 10 times slower
+        p = q // 10
+        chars[:, k] = q - p * 10
+        q = p
+    keep = np.ones(chars.shape, dtype=bool)
+    for k in range(d - 1):  # digit k is a leading zero below 10**(d-1-k)
+        keep[:, k] = v >= 10 ** (d - 1 - k)
+    chars += 48  # "0"
+    chars[:, d] = 32  # " "
+    chars[2::3, d] = 10  # "\n"
+    return head + chars[keep].tobytes().decode("ascii")
 
 
 def _kept_lines(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable]:

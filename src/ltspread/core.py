@@ -213,11 +213,13 @@ class TripleSystem:
 
     def _third_points(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Third vertex of each vertex pair x[i] < y[i], or -1 if uncovered."""
-        codes = x * self.n + y
-        at = np.searchsorted(self.pair_codes, codes)
-        hit = np.searchsorted(self.pair_codes, codes, side="right") > at
+        codes, pair_codes = x * self.n + y, self.pair_codes
         out = np.full(len(codes), -1, dtype=np.intp)
-        out[hit] = self.pair_thirds[at[hit]]
+        if len(pair_codes):
+            # one search: a code past the last lands on the last, and misses
+            at = np.searchsorted(pair_codes, codes).clip(max=len(pair_codes) - 1)
+            hit = pair_codes[at] == codes
+            out[hit] = self.pair_thirds[at[hit]]
         return out
 
     def third_point(self, x: int, y: int) -> int | None:

@@ -7,7 +7,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ltspread import core, errors
@@ -436,16 +436,20 @@ def test_lookups_agree_with_naive_scans(s, seed):
 
 
 @settings(max_examples=150, deadline=None)
-@given(random_systems, st.integers(0, 3))
+@given(lookup_systems, st.integers(0, 3))
+@example(build_system(0), 0)
+@example(build_system(4), 0)  # no triples, so no pair codes to search
+@example(build_system(3, [(0, 1, 2)]), 2)  # (3, 4) lies past the largest code
 def test_third_points_agree_with_a_pair_dict(s, isolated):
-    # isolated vertices past the last one, besides those the system has
+    # isolated vertices past the last one, besides those the system has: then
+    # the pair (n-2, n-1) is uncovered and its code is above every covered one
     s = build_system(s.n + isolated, s.triple_array)
     thirds = {}
     for t in s.triples:
         for x, y in combinations(t, 2):
             thirds[x, y] = sum(t) - x - y
     pairs = list(combinations(range(s.n), 2))
-    x, y = np.array(pairs, dtype=np.intp).T
+    x, y = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     expected = [thirds.get(pair, -1) for pair in pairs]
     assert s._third_points(x, y).tolist() == expected
 
