@@ -289,10 +289,9 @@ def _swap_minimal(system: TripleSystem, rows: np.ndarray) -> np.ndarray:
     """Which sorted 3-subset rows x < y < z no swap lowers (see is_spreading):
     the third point of {x, y} is above y, those of {x, z} and {y, z} are
     above z, and -1 (uncovered) passes each."""
-    x, y, z = rows.T
-    above = np.concatenate((y, z, z))
-    t = system._third_points(np.concatenate((x, x, y)), above)
-    return ((t < 0) | (t > above)).reshape(3, -1).all(axis=0)
+    x, y, _ = _slots(rows)
+    t = system._third_points(x, y)
+    return ((t < 0) | (t > y)).reshape(3, -1).all(axis=0)
 
 
 def is_weakly_spreading(system: TripleSystem) -> PropertyVerdict:
@@ -405,18 +404,16 @@ def _third_rows(n: int, triples: np.ndarray) -> tuple[np.ndarray, ...]:
     t > a and third point v, rows holds v's stacked row and above holds
     t - a - 1, grouped by a: those of a are cuts[a]:cuts[a + 1].  Vertices
     are held in the smallest unsigned type that fits n."""
-    t = triples.astype(np.min_scalar_type(n))
-    p, q, r = t.T
-    a = np.concatenate((p, p, q))  # each triple p < q < r gives three pairs
+    a, t, v = _slots(triples.astype(np.min_scalar_type(n)))
     order = np.argsort(a, kind="stable")
     cuts = np.searchsorted(a[order], np.arange(n + 1, dtype=a.dtype)).tolist()
     used = np.zeros(n, dtype=bool)
-    used[t] = True
+    used[v] = True  # every vertex of a triple is the third point of a pair
     thirds = np.flatnonzero(used)
     row = np.zeros(n, dtype=np.min_scalar_type(2 * n))
     row[thirds] = np.arange(n, n + len(thirds))
-    rows = row[np.concatenate((r, q, p))[order]]
-    above = np.concatenate((q - p, r - p, r - q))[order] - 1
+    rows = row[v[order]]
+    above = (t - a)[order] - 1
     return thirds, cuts, rows, above
 
 

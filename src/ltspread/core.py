@@ -6,7 +6,7 @@ happens once, at construction, in numpy, and builds only what it reads: the
 pair slots of the triples, their codes x*n + y and one plain sort of them.
 The two indexes built from those slots, the pair index that every lookup
 reads and the kernel layout that closure and the property checks read, are
-built on first read, once each, and the slots go when both exist.
+built on first read, once each.
 """
 
 from __future__ import annotations
@@ -56,7 +56,9 @@ def _slots(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pair slots (x, y, z) of (m, 3) rows of sorted triples, slot j of
     row i at flat index j*m + i: pairs xy, xz, yz with third point z.  One
     gather of whole columns: a gather across each row is several times
-    slower."""
+    slower.  The one pair-slot layout, kept by no caller: validation, the
+    pair index and the kernel layout of TripleSystem, _weakly_spreading_each,
+    _third_rows and _swap_minimal each take it when they need it."""
     x, y, z = t.T[[0, 0, 1, 1, 2, 2, 2, 1, 0]].reshape(3, -1)
     return x, y, z
 
@@ -100,7 +102,7 @@ class TripleSystem:
     once, and a system that only validates never builds them.
     """
 
-    __slots__ = ("n", "triple_array", "_triples", "_slots", "_index", "_sweep")
+    __slots__ = ("n", "triple_array", "_triples", "_index", "_sweep")
 
     def __init__(self, n: int, triples: Iterable[Iterable[int]] = ()):
         n = operator.index(n)
@@ -138,9 +140,10 @@ class TripleSystem:
         def row(i: int) -> Triple:
             return tuple(t[i].tolist()) if tri is None else tri[i]
 
-        # Validation reads only the slots, their codes and a plain sort; the
-        # pair index and the kernel layout are built from the slots when read.
-        x, y, _ = self._slots = _slots(t)
+        # Validation reads only the slots' codes and a plain sort, and keeps
+        # neither: the pair index and the kernel layout take the slots again
+        # from the triple array when first read.
+        x, y, _ = _slots(t)
         codes = x * n + y
         # The first defect is the lowest triple index with a bad vertex or a
         # pair covered at a lower index.  A bad triple's codes may clash, but
@@ -175,27 +178,17 @@ class TripleSystem:
 
     def _pair_index(self) -> tuple[np.ndarray, ...]:
         if self._index is None:
-            x, y, z = self._slots or _slots(self.triple_array)
+            x, y, z = _slots(self.triple_array)
             codes = x * self.n + y
             by_code = np.argsort(codes, kind="stable")
             self._index = _frozen(codes[by_code], z[by_code])
-            self._release_slots()
         return self._index
 
     @property
     def sweep_pairs(self) -> tuple[np.ndarray, ...]:
         if self._sweep is None:
-            slots = self._slots or _slots(self.triple_array)
-            self._sweep = _frozen(*_sweep_pairs(*slots)[0])
-            self._release_slots()
+            self._sweep = _frozen(*_sweep_pairs(*_slots(self.triple_array))[0])
         return self._sweep
-
-    def _release_slots(self) -> None:
-        """The slots are read only to build the two caches: once both are
-        built, they go.  A thread that raced those builds finds None and
-        takes the slots again from triple_array."""
-        if self._index is not None and self._sweep is not None:
-            self._slots = None
 
     @property
     def triples(self) -> tuple[Triple, ...]:

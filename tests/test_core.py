@@ -516,13 +516,17 @@ def traced_growth(call):
         tracemalloc.stop()
 
 
-def test_validation_retains_the_triples_and_their_slots():
-    # Per triple: the (m, 3) array, 24 bytes, and the pair slots x, y, z
-    # that validation reads, 72; the caches come on first read.  Built at
-    # once with the system, they retained 120.2 bytes.
+def test_validation_retains_only_the_triple_array():
+    # Per triple: the (m, 3) array, 24 bytes; the pair slots that validation
+    # reads are not kept, and the caches come on first read: the kernel
+    # layout adds 48 and the pair index 48 more.
     a = spreading_6p3(101).triple_array
     s, retained = traced_growth(lambda: build_system(609, a))
-    assert retained < 97 * len(a)
+    assert retained < 25 * len(a)
+    retained += traced_growth(lambda: s.sweep_pairs)[1]
+    assert retained < 73 * len(a)
+    retained += traced_growth(lambda: s.pair_codes)[1]
+    assert retained < 121 * len(a)
     # a linear system covers 3m pairs, so Steiner is a count, not a lookup
     sts = bose_skolem(67)
     assert traced_growth(sts.is_steiner) == (True, 0)
@@ -554,7 +558,6 @@ def test_lazy_caches_agree_with_eager_ones(s, bare, index_first):
     for name in first:
         getattr(s, name)
     lazy = (s.pair_codes, s.pair_thirds, *s.sweep_pairs)
-    assert s._slots is None  # once both caches are built, the slots go
     for a, b in zip(lazy, eager):
         assert a.dtype == b.dtype and np.array_equal(a, b)
         assert not a.flags.writeable
@@ -562,8 +565,6 @@ def test_lazy_caches_agree_with_eager_ones(s, bare, index_first):
     assert all(a is b for a, b in zip(lazy, again))
     with pytest.raises(AttributeError):
         s.pair_codes = eager[0]
-    # a thread whose build raced the other one's finds no slots: it takes
-    # them again from the triple array
     s._index = s._sweep = None
     for a, b in zip((s.pair_codes, s.pair_thirds, *s.sweep_pairs), eager):
         assert np.array_equal(a, b)
