@@ -5,9 +5,10 @@ Format: a header line "lts 1", a counts line "n m", then m triple lines
 with '#' and blank lines are ignored.
 
 Exit codes: 0 success / property holds; 1 property fails (witness in the
-report); 2 usage or I/O error, ParseError (the file breaks the grammar) or
-any other LtsError such as OutOfRange or BudgetExceeded; 3 the file parses
-but the system is invalid: VertexOutOfRange or DuplicatePairCoverage.
+report); 2 usage or I/O error, ParseError (the file breaks the grammar),
+any other LtsError such as OutOfRange or BudgetExceeded, or an allocation
+that failed (MemoryError); 3 the file parses but the system is invalid:
+VertexOutOfRange or DuplicatePairCoverage.
 
 Reports are JSON on stdout and byte-identical across runs for identical
 inputs; the closing run_time_s line on stderr excludes interpreter start
@@ -463,6 +464,10 @@ def run(argv: list[str] | None = None) -> int:
         return 3
     except (LtsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = str(exc) or "an allocation failed"  # numpy's names the allocation
+        print(f"error: out of memory: {detail}", file=sys.stderr)
         return 2
     finally:
         print(f"run_time_s {time.perf_counter() - started:.3f}", file=sys.stderr)

@@ -23,9 +23,10 @@ seeds (_combinations; _rank inverts it) and scatter them into M (_pack);
 is_spreading first drops each 3-set that a swap (see there) turns into a
 lexicographically smaller one with the same closure.
 The extremal search checks a chunk of candidate systems, one (K, m, 3)
-array, in one kernel call (_weakly_spreading_each): it sweeps the union of
-their triples under a gate, one packed row per pair, that lets each triple
-act only on the seeds of the candidates holding it.
+array, in one kernel call (_weakly_spreading_each): a lone candidate's
+seeds are swept over its own triples, and a larger chunk's over the union
+of their triples under a gate, one packed row per pair, that lets each
+triple act only on the seeds of the candidates holding it.
 expander_deficiency runs no sweep.  It scans every size from 1 up and
 builds each size's packed, lex-ordered sets from the size below by
 Pascal's rule (_subsets), with one row per vertex in some triple for the
@@ -309,26 +310,31 @@ def is_weakly_spreading(system: TripleSystem) -> PropertyVerdict:
 def _weakly_spreading_each(n: int, cands: np.ndarray) -> np.ndarray:
     """Whether each of K linear systems on range(n), given as a (K, m, 3)
     intp array of sorted triples, is weakly spreading, as a bool array, from
-    one gated kernel call.
+    one kernel call.
 
-    The seeds t1 + t2 of every system take one bit each of a single block,
-    swept over the union of the systems' triples, which need not be linear.
-    Row t of the gate marks the seeds of the systems that hold union triple
-    t, so t adds third points to those seeds only, and each seed closes in
-    its own system.  A system holds when all its seeds close to range(n).
-    Triples are coded (x*n + y)*n + z in int64 (np.unique over rows is
-    several times slower), and the caller keeps the seeds within a block.
+    The seeds t1 + t2 of every system take one bit each of a single block.
+    A lone system's seeds are swept over its own triples.  More systems'
+    seeds are swept over the union of their triples, which need not be
+    linear, under a gate: row t marks the seeds of the systems that hold
+    union triple t, so t adds third points to those seeds only, and each
+    seed closes in its own system.  A system holds when all its seeds close
+    to range(n).  Union triples are coded (x*n + y)*n + z in int64
+    (np.unique over rows is several times slower), and the caller keeps
+    the seeds within a block.
     """
     k, m = cands.shape[:2]
     pos = np.arange(m)  # np.triu_indices costs several times as much
     i, j = np.nonzero(pos[:, None] < pos)  # the positions of t1 and t2
     rows = np.concatenate((cands[:, i], cands[:, j]), axis=2).reshape(-1, 6)
-    codes = (cands[..., 0] * n + cands[..., 1]) * n + cands[..., 2]
-    union, which = np.unique(codes.ravel(), return_inverse=True)
-    gate = _pack(len(union), np.repeat(which.reshape(k, m), len(i), axis=0))
-    ut = np.stack((union // (n * n), union // n % n, union % n), axis=1)
-    pairs, owner = _sweep_pairs(*_slots(ut))  # owner: each sweep slot's triple
-    closed = _close_batch(n, rows, pairs, gate[owner])
+    if k == 1:  # one system holds all of its union: the gate would be all ones
+        closed = _close_batch(n, rows, _sweep_pairs(*_slots(cands[0]))[0])
+    else:
+        codes = (cands[..., 0] * n + cands[..., 1]) * n + cands[..., 2]
+        union, which = np.unique(codes.ravel(), return_inverse=True)
+        gate = _pack(len(union), np.repeat(which.reshape(k, m), len(i), axis=0))
+        ut = np.stack((union // (n * n), union // n % n, union % n), axis=1)
+        pairs, owner = _sweep_pairs(*_slots(ut))  # owner: each slot's triple
+        closed = _close_batch(n, rows, pairs, gate[owner])
     fails = _unpack(~np.bitwise_and.reduce(closed, axis=0), len(rows))
     return ~fails.reshape(k, -1).any(axis=1)
 

@@ -110,14 +110,13 @@ class TripleSystem:
             bound = "non-negative" if n < 0 else f"at most {_MAX_ORDER}"
             raise VertexOutOfRange(f"vertex count must be {bound}, got {n}")
         self.n = n
-        # Per triple go lists, relabelled systems and the search's DFS
-        # placements (a level's first candidate and the witness), whose rows
-        # need not be in lex order, so they are sorted and deduplicated.  An
-        # array of canonical rows that casts safely to intp, as a parsed
-        # file's and a generator's do, is taken in bulk: it needs no sort or
-        # dedupe.  uint64, float and object arrays do not cast, and a bool row
-        # is never strictly increasing, so those go per triple, like any other
-        # array.
+        # Per triple go lists, relabelled systems and the search's witness,
+        # a DFS placement, whose rows need not be in lex order, so they are
+        # sorted and deduplicated.  An array of canonical rows that casts
+        # safely to intp, as a parsed file's and a generator's do, is taken
+        # in bulk: it needs no sort or dedupe.  uint64, float and object
+        # arrays do not cast, and a bool row is never strictly increasing, so
+        # those go per triple, like any other array.
         bulk = isinstance(triples, np.ndarray) and triples.shape[1:] == (3,)
         if (
             bulk

@@ -15,11 +15,11 @@ vertices used so far plus the next fresh one (the next two for the
 second triple) whose three pairs are all uncovered.
 
 So every candidate is linear, and the search checks candidates without
-building them.  A level's first candidate is built and checked as a
-system; the rest go in chunks of 2, 4, 8, ... candidates, up to as many
-as one kernel block holds seeds for.  A level's candidates all hold m
-triples, so a chunk is one (K, m, 3) array, and it closes in one gated
-kernel call, one bit per (candidate, seed) pair (see
+building them.  They go in chunks of 1, 2, 4, 8, ... candidates, up to as
+many as one kernel block holds seeds for.  A level's candidates all hold
+m triples, so a chunk is one (K, m, 3) array, and it closes in one kernel
+call, one bit per (candidate, seed) pair: a chunk of one over its own
+triples, a larger one over the union of its triples under a gate (see
 closure._weakly_spreading_each).  Only the first passing candidate
 becomes a TripleSystem.  Each candidate carries the node count at which
 it was placed, so reading ahead leaves nodes_explored as it was, and a
@@ -37,7 +37,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .closure import _BLOCK, _weakly_spreading_each, closure, is_weakly_spreading
+from .closure import _BLOCK, _weakly_spreading_each, closure
 from .core import Triple, TripleSystem, build_system
 from .errors import BudgetExceeded, OutOfRange
 
@@ -131,14 +131,18 @@ def min_weakly_spreading(
         cap = _BLOCK // max(1, math.comb(m, 2))  # a chunk's seeds fill one block
         level = _level_candidates(n, m, counter, budget)
         for chunk in _chunks(level, counter, cap):
-            if found := _first_passing(n, chunk):
+            ints = chain.from_iterable(chain.from_iterable(c for c, _ in chunk))
+            # np.array is slower
+            cands = np.fromiter(ints, np.intp).reshape(len(chunk), -1, 3)
+            if (holds := _weakly_spreading_each(n, cands)).any():
+                cand, nodes = chunk[int(holds.argmax())]
                 # counts below ceil(n/3) cannot span n vertices at all, so
                 # the scan was exhaustive iff it started at or below that
                 return SearchResult(
                     n=n,
                     minimum=m,
-                    witness=found[0],
-                    nodes_explored=found[1],
+                    witness=build_system(n, cand),
+                    nodes_explored=nodes,
                     exhaustive_below=first <= -(-n // 3),
                 )
 
@@ -164,25 +168,6 @@ def _chunks(
         raise
     if chunk:
         yield chunk
-
-
-def _first_passing(
-    n: int, chunk: list[tuple[tuple[Triple, ...], int]]
-) -> tuple[TripleSystem, int] | None:
-    """The first weakly spreading candidate of a chunk, built, with its
-    node count; None when none passes.  A lone candidate is checked as a
-    system, which costs less than a slice of one."""
-    if len(chunk) == 1:
-        (cand, nodes), = chunk
-        system = build_system(n, cand)
-        return (system, nodes) if is_weakly_spreading(system) else None
-    ints = chain.from_iterable(chain.from_iterable(c for c, _ in chunk))
-    cands = np.fromiter(ints, np.intp).reshape(len(chunk), -1, 3)  # np.array is slower
-    holds = _weakly_spreading_each(n, cands)
-    if not holds.any():
-        return None
-    cand, nodes = chunk[int(holds.argmax())]
-    return build_system(n, cand), nodes
 
 
 def ordering_witness(system: TripleSystem) -> tuple[Triple, ...] | None:

@@ -1,6 +1,8 @@
 """File format and command-line behaviour."""
 
 import bisect
+import contextlib
+import io
 import json
 import os
 import random
@@ -637,6 +639,25 @@ def test_usage_error_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "error",
+    [MemoryError(), MemoryError("Unable to allocate 37.3 GiB")],
+    ids=["plain", "numpy"],  # numpy's names the allocation, a plain one nothing
+)
+def test_out_of_memory_exits_2_with_one_error_line(tmp_path, capsys, error):
+    path = write(tmp_path, "sts9.lts", serialize_system(bose_skolem(3)))
+    for name, argv in [
+        ("bose_skolem", ["construct", "--family", "bose-skolem", "--p", "7"]),
+        ("closure", ["closure", "--input", path, "--set", "0,1,2"]),
+    ]:
+        with patch.object(cli, name, side_effect=error):
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        first, last = err.splitlines()
+        assert first.startswith("error: out of memory: ")
+        assert last.startswith("run_time_s ")
+
+
 def test_construct_writes_parseable_file(tmp_path, capsys):
     out_path = str(tmp_path / "out.lts")
     code, out, _ = run_cli(
@@ -979,3 +1000,104 @@ def test_lts_processes(upstream, argv, code):
     assert done.returncode == code, done.stderr
     if code < 2:
         json.loads(done.stdout)
+
+
+FUZZ_SOURCES = [
+    serialize_system(s)
+    for s in (
+        bose_skolem(3),
+        cayley_latin(3),
+        star_expansion(4),
+        spreading_6p3(3),
+        build_system(8, [(0, 1, 2), (2, 3, 4), (4, 5, 6)]),
+        bose_skolem(13),  # n = 39
+        spreading_6p3(11),  # n = 69: only the checks that do not grow with n
+    )
+]
+# What the fuzz test below writes into them: words past int64 and past
+# int()'s digit limit, non-ASCII digits, line breaks and spaces that
+# str.splitlines and str.split know, a BOM, a comment mark.
+FUZZ_TOKENS = [
+    "9" * 19,
+    "1" + "0" * 19,
+    "9" * (getattr(sys, "get_int_max_str_digits", lambda: 4300)() + 1),
+    "\u0667",  # Arabic-Indic 7
+    "\u0661\u0660",
+    "\r",
+    "\r\n",
+    "\x0b",
+    "\u00a0",  # NBSP
+    "\ufeff",  # BOM
+    "#",
+    "-",
+    " ",
+    "\n",
+    "0",
+    "7",
+]
+
+
+@st.composite
+def fuzzed_files(draw):
+    """Arbitrary bytes, with or without the header, or a serialized
+    construction with a few spans replaced by tokens, then maybe truncated."""
+    kind = draw(st.sampled_from(["bytes", "header", *["mutated"] * 6]))
+    if kind != "mutated":
+        data = draw(st.binary(max_size=120))
+        return b"lts 1\n" + data if kind == "header" else data
+    text = draw(st.sampled_from(FUZZ_SOURCES))
+    for _ in range(draw(st.integers(0, 3))):
+        # anywhere, or about the counts line
+        i = draw(st.integers(0, len(text)) | st.integers(4, 16))
+        j = draw(st.integers(i, i + 2))
+        text = text[:i] + draw(st.sampled_from(FUZZ_TOKENS)) + text[j:]
+    if draw(st.integers(0, 3)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text.encode()
+
+
+def declared_order(data):
+    """The n of the counts line (the second line that is neither blank nor
+    a "#" comment) when it is a decimal word of at most 10 characters."""
+    try:
+        lines = data.decode().splitlines()
+    except UnicodeDecodeError:
+        return None
+    kept = [s for line in lines if (s := line.strip()) and s[0] != "#"]
+    words = kept[1].split() if len(kept) > 1 else []
+    if words and words[0].isdecimal() and len(words[0]) <= 10:
+        return int(words[0])
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    fuzzed_files(),
+    st.lists(st.sampled_from(["0", "1", "38", "40", "-1", "x", "9" * 20]), max_size=4),
+    st.integers(-1, 4),
+)
+def test_exit_codes_on_fuzzed_files(tmp_path_factory, data, words, max_size):
+    path = tmp_path_factory.getbasetemp() / "fuzz.lts"
+    path.write_bytes(data)
+    properties = ["linear", "steiner"]
+    argvs = []
+    # the other checks, the closure and the expander grow with n
+    if (n := declared_order(data)) is not None and n <= 40:
+        event("n <= 40")
+        properties += ["spreading", "weakly-spreading", "strong-connectivity"]
+        argvs += [["closure", f"--set={','.join(words)}"]]
+        argvs += [["expander", f"--max-size={max_size}"]]
+    argvs += [["check", "--property", p] for p in properties]
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([*argv, "--input", str(path)])
+        out, err = out.getvalue(), err.getvalue().splitlines()
+        assert code in (0, 1, 2, 3), (argv, err)
+        assert err[-1].startswith("run_time_s "), (argv, err)
+        if code >= 2:
+            assert out == "" and len(err) == 2 and err[0].startswith("error: ")
+        else:
+            report = json.loads(out)
+            assert isinstance(report, dict) and next(iter(report)) == "command"
+        event(f"exit {code}")

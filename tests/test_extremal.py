@@ -23,7 +23,7 @@ from ltspread import (
     ordering_witness,
     spreading_6p3,
 )
-from ltspread.closure import _BLOCK, _weakly_spreading_each, closure
+from ltspread.closure import _BLOCK, _pack, _weakly_spreading_each, closure
 from ltspread.extremal import _level_candidates
 
 from helpers import (
@@ -212,17 +212,25 @@ def test_search_results_do_not_depend_on_the_chunk_cap(block):
         assert min_weakly_spreading(10).witness.triples == WITNESS_10
 
 
-def test_search_builds_only_lone_candidates_and_the_witness():
-    # n = 10 checks 41 candidates: the first alone, the rest in slices
-    with patch("ltspread.extremal.build_system", wraps=build_system) as spy:
-        result = min_weakly_spreading(10)
-    assert [build_system(*call.args) for call in spy.call_args_list] == [
-        build_system(10, next(_level_candidates(10, 7, [0], 10**9))),
-        result.witness,
-    ]
-    # the witness comes from a slice, so it is only validated: it builds
-    # neither its pair index nor its kernel layout
-    assert result.witness._index is None and result.witness._sweep is None
+def test_search_builds_only_the_witness():
+    # from n = 9 on, the first candidate fails: it is checked, not built
+    for n in range(5, 11):
+        with patch("ltspread.extremal.build_system", wraps=build_system) as spy:
+            result = min_weakly_spreading(n)
+        built = [build_system(*call.args) for call in spy.call_args_list]
+        assert built == [result.witness], n
+        # the witness is only validated: it builds neither its pair index
+        # nor its kernel layout
+        assert result.witness._index is None and result.witness._sweep is None
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_weak_check_on_a_levels_first_candidate_alone(n):
+    # a chunk of one: it passes up to n = 8, and fails at n = 9 and 10
+    first = next(_level_candidates(n, n - 3, [0], 10**9))
+    holds = _weakly_spreading_each(n, np.array([first], dtype=np.intp))
+    assert holds.tolist() == [weakly_spreading_naive(build_system(n, first))[0]]
+    assert holds.tolist() == [n <= 8]
 
 
 LEVELS = {
@@ -241,6 +249,15 @@ def test_sliced_weak_check_on_search_candidates(level, data):
     assert holds.tolist() == [
         weakly_spreading_naive(build_system(n, cand))[0] for cand in chunk
     ]
+
+
+def test_a_chunk_of_one_packs_only_its_seeds():
+    # one candidate sweeps its own triples; two pack a gate for their union
+    cands = np.array(LEVELS[10, 7][:2], dtype=np.intp)
+    for k, packs in ((1, 1), (2, 2)):
+        with patch("ltspread.closure._pack", wraps=_pack) as spy:
+            _weakly_spreading_each(10, cands[:k])
+        assert spy.call_count == packs, k
 
 
 @pytest.mark.parametrize(
