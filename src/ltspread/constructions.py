@@ -190,7 +190,8 @@ def cayley_latin(p: int) -> TripleSystem:
     subsquares, which is what the weak-spreading property rests on.
     """
     p = _require_odd_prime(p, "cayley_latin")
-    return from_latin_square([[(i + j) % p for j in range(p)] for i in range(p)])
+    i, j = np.divmod(np.arange(p * p), p)  # row by row: the rows are canonical
+    return build_system(3 * p, np.column_stack([i, p + j, 2 * p + (i + j) % p]))
 
 
 def from_latin_square(square: Sequence[Sequence[int]]) -> TripleSystem:

@@ -15,12 +15,13 @@ vertices used so far plus the next fresh one (the next two for the
 second triple) whose three pairs are all uncovered.
 
 So every candidate is linear, and the search checks candidates without
-building them.  They go in chunks of 1, 2, 4, 8, ... candidates, up to as
-many as one kernel block holds seeds for.  A level's candidates all hold
-m triples, so a chunk is one (K, m, 3) array, and it closes in one kernel
-call, one bit per (candidate, seed) pair: a chunk of one over its own
-triples, a larger one over the union of its triples under a gate (see
-closure._weakly_spreading_each).  Only the first passing candidate
+building them.  One generator per level (_level) places them, counts the
+placements and cuts them into chunks of 1, 2, 4, 8, ... candidates, up
+to as many as one kernel block holds seeds for.  A level's candidates
+all hold m triples, so a chunk is one (K, m, 3) array, and it closes in
+one kernel call, one bit per (candidate, seed) pair: a chunk of one over
+its own triples, a larger one over the union of its triples under a gate
+(see closure._weakly_spreading_each).  Only the first passing candidate
 becomes a TripleSystem.  Each candidate carries the node count at which
 it was placed, so reading ahead leaves nodes_explored as it was, and a
 chunk cut short by the budget is checked before the budget error is
@@ -61,31 +62,38 @@ class SearchResult:
     exhaustive_below: bool
 
 
-def _level_candidates(
-    n: int, m: int, counter: list[int], budget: int
-) -> Iterator[tuple[Triple, ...]]:
-    """Yield the normalized m-triple placements spanning [0, n) in
-    lexicographic order.
+def _level(
+    n: int, m: int, nodes: int, budget: int
+) -> Iterator[tuple[list[tuple[tuple[Triple, ...], int]], int]]:
+    """The normalized m-triple placements spanning [0, n), in lexicographic
+    order, in chunks of 1, 2, 4, ... up to as many as one kernel block
+    holds seeds for.
 
     After (0,1,2), each step tries in lexicographic order every 3-subset of
     the vertices used so far plus the next fresh one (the next two for the
     second triple) with all three pairs uncovered; a triple containing a
     fresh vertex introduces it.  Each call of the DFS receives its whole
-    state: the placement, its covered pairs and the next fresh vertex.
-    Distinct DFS paths are distinct placements, so nothing repeats.
-    counter[0] accumulates explored placements across calls; exceeding
-    budget raises BudgetExceeded.
+    state: the placement, its covered pairs as the bits x*n + y of one int,
+    and the next fresh vertex.  Distinct DFS paths are distinct placements,
+    so nothing repeats.
+
+    Yields (chunk, nodes), nodes counting placements on from the argument:
+    each candidate of a chunk comes with the count at which it was placed,
+    and the last item is the level's final chunk, which may be empty, with
+    the count at the end of the level.  The node past budget raises
+    BudgetExceeded once the chunk being filled has come out, as the scan
+    would have checked those candidates before it placed more.
     """
-    if m < 1:
-        return
+    cap = _BLOCK // max(1, math.comb(m, 2))  # a chunk's seeds fill one block
 
     def extend(
-        placed: tuple[Triple, ...], covered: frozenset[tuple[int, int]], u: int
+        placed: tuple[Triple, ...], covered: int, u: int
     ) -> Iterator[tuple[Triple, ...]]:
-        counter[0] += 1
-        if counter[0] > budget:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
             raise BudgetExceeded(
-                f"search used {counter[0]} nodes, over its budget of {budget}, "
+                f"search used {nodes} nodes, over its budget of {budget}, "
                 f"while scanning {m}-triple systems"
             )
         k = len(placed)
@@ -97,11 +105,22 @@ def _level_candidates(
         if u + fresh - 1 + (m - k) < n:
             return  # not enough steps left to span
         for x, y, z in combinations(range(min(u + fresh, n)), 3):
-            pairs = {(x, y), (x, z), (y, z)}
-            if covered.isdisjoint(pairs):
+            pairs = 1 << (x * n + y) | 1 << (x * n + z) | 1 << (y * n + z)
+            if not covered & pairs:
                 yield from extend(placed + ((x, y, z),), covered | pairs, max(u, z + 1))
 
-    yield from extend(((0, 1, 2),), frozenset({(0, 1), (0, 2), (1, 2)}), 3)
+    chunk: list[tuple[tuple[Triple, ...], int]] = []
+    size = 1
+    try:
+        for cand in extend(((0, 1, 2),), 1 << 1 | 1 << 2 | 1 << (n + 2), 3):
+            chunk.append((cand, nodes))
+            if len(chunk) == size:
+                yield chunk, nodes
+                chunk, size = [], min(2 * size, cap)
+    except BudgetExceeded:
+        yield chunk, nodes
+        raise
+    yield chunk, nodes
 
 
 def min_weakly_spreading(
@@ -126,11 +145,11 @@ def min_weakly_spreading(
     first = floor if start_at is None else operator.index(start_at)
     if not 1 <= first <= floor:
         raise OutOfRange(f"start_at must lie in [1, {floor}], got {first}")
-    counter = [0]
+    nodes = 0
     for m in count(first):
-        cap = _BLOCK // max(1, math.comb(m, 2))  # a chunk's seeds fill one block
-        level = _level_candidates(n, m, counter, budget)
-        for chunk in _chunks(level, counter, cap):
+        for chunk, nodes in _level(n, m, nodes, budget):
+            if not chunk:
+                continue
             ints = chain.from_iterable(chain.from_iterable(c for c, _ in chunk))
             # np.array is slower
             cands = np.fromiter(ints, np.intp).reshape(len(chunk), -1, 3)
@@ -145,29 +164,6 @@ def min_weakly_spreading(
                     nodes_explored=nodes,
                     exhaustive_below=first <= -(-n // 3),
                 )
-
-
-def _chunks(
-    candidates: Iterator[tuple[Triple, ...]], counter: list[int], cap: int
-) -> Iterator[list[tuple[tuple[Triple, ...], int]]]:
-    """The candidates, each with counter[0] as it arrives, in lists of 1, 2,
-    4, ... up to cap.  When the candidates raise BudgetExceeded, the list
-    being filled comes out first, as the scan would have checked those
-    candidates before it placed more."""
-    chunk: list[tuple[tuple[Triple, ...], int]] = []
-    size = 1
-    try:
-        for cand in candidates:
-            chunk.append((cand, counter[0]))
-            if len(chunk) == size:
-                yield chunk
-                chunk, size = [], min(2 * size, cap)
-    except BudgetExceeded:
-        if chunk:
-            yield chunk
-        raise
-    if chunk:
-        yield chunk
 
 
 def ordering_witness(system: TripleSystem) -> tuple[Triple, ...] | None:

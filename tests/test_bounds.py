@@ -34,6 +34,9 @@ def test_residue_set_validation():
     with pytest.raises(OutOfRange):
         ResidueSet(7, frozenset({7}))
     assert residues(7, [8, -1]).members == frozenset({1, 6})
+    for modulus in (1, 0):
+        with pytest.raises(OutOfRange, match=f"at least 2, got {modulus}$"):
+            residues(modulus, [0])
 
 
 def test_sumset_examples():

@@ -24,7 +24,7 @@ from ltspread import (
     spreading_6p3,
 )
 from ltspread.closure import _BLOCK, _pack, _weakly_spreading_each, closure
-from ltspread.extremal import _level_candidates
+from ltspread.extremal import _level
 
 from helpers import (
     is_valid_ordering,
@@ -34,6 +34,11 @@ from helpers import (
     random_systems,
     weakly_spreading_naive,
 )
+
+
+def placements(n, m):
+    """The m-triple level's candidates, in the order the search places them."""
+    return (cand for chunk, _ in _level(n, m, 0, 10**9) for cand, _ in chunk)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -90,7 +95,7 @@ def test_search_agrees_with_naive_oracle(n):
     # the first passing candidate the generation emits is the oracle's
     first = next(
         cand
-        for cand in _level_candidates(n, minimum, [0], 10**9)
+        for cand in placements(n, minimum)
         if is_weakly_spreading(build_system(n, cand))
     )
     assert first == placement
@@ -201,6 +206,32 @@ def test_search_results_are_pinned(n, start_at):
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_search_budgets_are_drawn(data):
+    n = data.draw(st.integers(5, 10))
+    start_at = data.draw(st.sampled_from([None, *range(1, n - 2)]))
+    start = start_at or n - 3
+    nodes = NODES[n][start - 1]
+    budget = data.draw(st.integers(1, nodes + 2))
+    if budget >= nodes:
+        assert min_weakly_spreading(n, start_at, budget) == SearchResult(
+            n=n,
+            minimum=n - 3,
+            witness=build_system(n, WITNESSES[n]),
+            nodes_explored=nodes,
+            exhaustive_below=start <= -(-n // 3),
+        )
+        return
+    with pytest.raises(BudgetExceeded) as exc:
+        min_weakly_spreading(n, start_at, budget)
+    # each level below the floor costs one node: its root cannot span
+    assert str(exc.value) == (
+        f"search used {budget + 1} nodes, over its budget of {budget}, "
+        f"while scanning {min(start + budget, n - 3)}-triple systems"
+    )
+
+
 @pytest.mark.parametrize("block", [21, 42, 64, 10**6])
 def test_search_results_do_not_depend_on_the_chunk_cap(block):
     # at n = 10 the 7-triple candidates have 21 seeds each: caps of 1 to all
@@ -210,6 +241,19 @@ def test_search_results_do_not_depend_on_the_chunk_cap(block):
                 NODES[n][(start_at or n - 3) - 1]
             )
         assert min_weakly_spreading(10).witness.triples == WITNESS_10
+
+
+def test_a_levels_partial_last_chunk_is_checked():
+    # the 12 candidates of n = 6, m = 3 come in chunks of 1, 2, 4 and 5
+    last = ((0, 1, 2), (2, 3, 4), (1, 4, 5))
+
+    def only_last(n, cands):
+        return (cands == np.array(last)).all(axis=(1, 2))
+
+    with patch("ltspread.extremal._weakly_spreading_each", only_last):
+        result = min_weakly_spreading(6, budget=16)  # no level past it
+    assert result.witness == build_system(6, last)
+    assert result.nodes_explored == 16
 
 
 def test_search_builds_only_the_witness():
@@ -227,14 +271,14 @@ def test_search_builds_only_the_witness():
 @pytest.mark.parametrize("n", range(5, 11))
 def test_weak_check_on_a_levels_first_candidate_alone(n):
     # a chunk of one: it passes up to n = 8, and fails at n = 9 and 10
-    first = next(_level_candidates(n, n - 3, [0], 10**9))
+    first = next(placements(n, n - 3))
     holds = _weakly_spreading_each(n, np.array([first], dtype=np.intp))
     assert holds.tolist() == [weakly_spreading_naive(build_system(n, first))[0]]
     assert holds.tolist() == [n <= 8]
 
 
 LEVELS = {
-    (n, m): list(islice(_level_candidates(n, m, [0], 10**9), 400))
+    (n, m): list(islice(placements(n, m), 400))
     for n, m in ((9, 6), (10, 7))
 }
 
@@ -266,7 +310,7 @@ def test_a_chunk_of_one_packs_only_its_seeds():
 def test_sliced_weak_check_on_a_full_block(n, m, size, passing):
     # the largest chunk the search makes: 16,380 seeds of a 16,384-seed block
     assert size == _BLOCK // comb(m, 2)
-    chunk = list(islice(_level_candidates(n, m, [0], 10**9), size))
+    chunk = list(islice(placements(n, m), size))
     holds = _weakly_spreading_each(n, np.array(chunk, dtype=np.intp))
     want = [is_weakly_spreading(build_system(n, cand)).holds for cand in chunk]
     assert holds.tolist() == want
@@ -317,9 +361,13 @@ def test_generation_emits_no_duplicates():
         (9, 6): 12880,
     }
     for n, m in nodes:
-        counter = [0]
-        cands = list(_level_candidates(n, m, counter, 10**9))
-        assert counter == [nodes[n, m]]
+        items = list(_level(n, m, 0, 10**9))
+        cands = [cand for chunk, _ in items for cand, _ in chunk]
+        assert items[-1][1] == nodes[n, m]
+        # chunks of 1, 2, 4, ... up to the cap, then what is left
+        sizes = [len(chunk) for chunk, _ in items]
+        want = [min(2**i, _BLOCK // comb(m, 2)) for i in range(len(sizes))]
+        assert sizes[:-1] == want[:-1] and sizes[-1] < want[-1]
         # the independent oracle emits the same placements in the same order
         assert cands == list(normalized_orderings_naive(n, m))
         assert len(cands) == len(set(cands))
