@@ -16,7 +16,8 @@ swept with M[z] |= M[x] & M[y] over all covered pairs until nothing
 changes, on the system's sweep_pairs.  A block holds _BLOCK seeds, or
 fewer when a pair-indexed sweep temporary (3m rows) or a vertex-indexed
 byte matrix (n rows, a byte per seed) would outgrow _PAIR_BYTES, which
-bounds memory up to about 130,000 vertices and 350,000 triples.  Seed ranks
+bounds memory up to about 130,000 vertices and 350,000 triples (the
+expander's blocks, up to about 43,700 vertices in triples).  Seed ranks
 are int64, which caps spreading at n = 3,810,779 and strong connectivity
 at n = 121,977.  The verifiers that scan a single seed size unrank their
 seeds (_combinations; _rank inverts it) and scatter them into M (_pack);
@@ -139,20 +140,18 @@ def closure(system: TripleSystem, subset: Iterable[int]) -> frozenset[int]:
 # Seeds per kernel block: 2^14 seeds are 256 words (2 KiB) per vertex row.
 _BLOCK = 1 << 14
 # A sweep holds pair-indexed temporaries of 3m rows, one bit per seed, and a
-# block's seeds or neighbourhoods may be held as n rows of a byte per seed;
-# the seeds per block shrink below _BLOCK so that each stays within this
-# size.  expander_deficiency builds no seed table larger than it either.
+# block may hold n or more rows of a byte per seed (see _block_size); the
+# seeds per block shrink below _BLOCK so that each stays within this size.
+# expander_deficiency builds no seed table larger than it either.
 _PAIR_BYTES = 1 << 23
 
 
-def _block_size(system: TripleSystem) -> int:
+def _block_size(system: TripleSystem, rows: int | None = None) -> int:
     """Seeds per block: _BLOCK, or fewer (a multiple of 64, at least 64) when
-    a pair-indexed sweep temporary, or an n x block byte matrix such as
-    _pack's, would outgrow _PAIR_BYTES.  Only the verifiers sweep, so only
-    they need the 3m bound; the expander, which unpacks at most n rows of a
-    block, takes the same blocks."""
+    a pair-indexed sweep temporary, or a byte matrix of rows rows (n by
+    default, as _pack's), would outgrow _PAIR_BYTES."""
     n, m = system.n, len(system.triple_array)
-    fit = min(_PAIR_BYTES * 8 // (3 * m or 1), _PAIR_BYTES // (n or 1))
+    fit = min(_PAIR_BYTES * 8 // (3 * m or 1), _PAIR_BYTES // (rows or n or 1))
     return min(_BLOCK, max(64, fit // 64 * 64))
 
 
@@ -478,7 +477,7 @@ def _subsets(
 
 
 def _subset_blocks(
-    system: TripleSystem, max_size: int, block: int
+    system: TripleSystem, max_size: int
 ) -> Iterator[tuple[int, int, int, np.ndarray]]:
     """(k, start, stop, M) for the k-subsets of lexicographic rank
     start..stop-1, block by block, for k = 1..max_size in turn.  M is as
@@ -487,10 +486,17 @@ def _subset_blocks(
     but the last is built as one table from the table of the size below
     when it fits within _PAIR_BYTES, and the blocks are slices of it; the
     blocks of other sizes are built one by one from the largest table
-    built."""
+    built.  A block unpacks at most n subset rows, and holds each of its t
+    third-point rows about three times (packed, cleared as ~M[thirds], and
+    unpacked to count), so blocks fit max(n, 3t) byte rows: 64 sets past
+    about 43,700 vertices in triples."""
     n = system.n
     layout = _third_rows(n, system.triple_array)
     thirds = layout[0]
+    # The 3m term bounds no temporary here but keeps dense systems' blocks
+    # near cache size: dropping it sped spreading_6p3(101) and bose_skolem(201)
+    # by 20-30% at max_size=2 but slowed cayley_latin(101) by 10-20%.
+    block = _block_size(system, max(n, 3 * len(thirds)))
     table, level = None, 0  # table holds all level-sets, the largest size built
     for k in range(1, max_size + 1):
         count = math.comb(n, k)
@@ -545,7 +551,7 @@ def expander_deficiency(
     per_size: dict[int, int] = {}
     attainers: list[tuple[int, int, int]] = []  # (deficiency, size, lex rank)
     ratios: list[Fraction] = []
-    for k, start, stop, m in _subset_blocks(system, max_size, _block_size(system)):
+    for k, start, stop, m in _subset_blocks(system, max_size):
         bits = _unpack(m[n:], stop - start)
         counts = bits.sum(0, dtype=np.min_scalar_type(n))  # each at most n
         idx = int(np.argmin(counts))

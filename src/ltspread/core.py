@@ -92,14 +92,14 @@ class TripleSystem:
         triples: lexicographically sorted tuple of sorted triples, built
             from triple_array on first access.
         triple_array: the triples as an (m, 3) intp array.
-        pair_codes, pair_thirds: the 3m covered pairs x < y as sorted codes
-            x*n + y, and the third vertex of each; built together when a
-            pair lookup first reads them.
         sweep_pairs: the kernel's (x, y, starts, thirds): the pairs grouped
             by third vertex; built when closure or a property check first
             reads it.
-    All arrays are read-only; the three attributes above are built at most
-    once, and a system that only validates never builds them.
+    The pair lookups read a private pair index: the 3m covered pairs x < y
+    as sorted codes x*n + y, and the third vertex of each, built when a
+    lookup first needs it.  All arrays are read-only; the index and
+    sweep_pairs are built at most once each, and a system that only
+    validates builds neither.
     """
 
     __slots__ = ("n", "triple_array", "_triples", "_index", "_sweep")
@@ -167,14 +167,6 @@ class TripleSystem:
         t.flags.writeable = False
         self.triple_array = t
 
-    @property
-    def pair_codes(self) -> np.ndarray:
-        return self._pair_index()[0]
-
-    @property
-    def pair_thirds(self) -> np.ndarray:
-        return self._pair_index()[1]
-
     def _pair_index(self) -> tuple[np.ndarray, ...]:
         if self._index is None:
             x, y, z = _slots(self.triple_array)
@@ -205,13 +197,13 @@ class TripleSystem:
 
     def _third_points(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Third vertex of each vertex pair x[i] < y[i], or -1 if uncovered."""
-        codes, pair_codes = x * self.n + y, self.pair_codes
+        codes, (pair_codes, pair_thirds) = x * self.n + y, self._pair_index()
         out = np.full(len(codes), -1, dtype=np.intp)
         if len(pair_codes):
             # one search: a code past the last lands on the last, and misses
             at = np.searchsorted(pair_codes, codes).clip(max=len(pair_codes) - 1)
             hit = pair_codes[at] == codes
-            out[hit] = self.pair_thirds[at[hit]]
+            out[hit] = pair_thirds[at[hit]]
         return out
 
     def third_point(self, x: int, y: int) -> int | None:
@@ -243,7 +235,7 @@ class TripleSystem:
         codes count up from rank 0 to just before the first uncovered pair."""
         if self.is_steiner():
             return None
-        codes, n = self.pair_codes, self.n
+        codes, n = self._pair_index()[0], self.n
         x = codes // n
         gaps = np.flatnonzero(codes - (x + 1) * (x + 2) // 2 != np.arange(len(codes)))
         r = int(gaps[0]) if gaps.size else len(codes)  # its rank

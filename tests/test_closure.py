@@ -362,7 +362,7 @@ def test_expander_seed_blocks_are_the_lex_ordered_subsets(pair_bytes):
             kernel, "_subset_blocks", spy
         ):
             expander_deficiency(s, max_size=n, budget=2**n)
-            block = kernel._block_size(s)
+            block = kernel._block_size(s, max(n, 3 * len(s.span())))
         blocks = iter(seen)
         for k in range(1, n + 1):
             subsets = np.array(list(combinations(range(n), k)))
@@ -663,7 +663,8 @@ def test_strong_connectivity_stops_at_closed_4set(block):
 def test_kernel_memory_is_bounded_by_triple_count():
     # 4,992 triples: a full 2^14-seed block of a verifier's sweep would hold
     # two pair-indexed temporaries of about 29 MiB each, and smaller blocks
-    # cap each at 8 MiB; the expander, which sweeps no pairs, holds neither
+    # cap each at 8 MiB; the expander, which sweeps no pairs, holds neither,
+    # and sizes its blocks for the vertices of its triples (see _subset_blocks)
     s = spreading_6p3(31)
     rep, peak = traced_peak(lambda: expander_deficiency(s, max_size=2))
     assert rep.per_size_min_neighbourhood == {1: 0, 2: 0}
@@ -690,14 +691,25 @@ def test_expander_never_builds_a_table_beyond_pair_bytes():
     assert peak < kernel._PAIR_BYTES
 
 
-def test_expander_memory_with_many_triples():
-    # 51,612 triples on 609 vertices: sweeping the 154,836 covered pairs for
-    # each block held pair-indexed temporaries past 8 MiB, where the
-    # neighbourhood rows take one row per vertex
-    s = spreading_6p3(101)
+@pytest.mark.parametrize(
+    "build, worst",
+    [
+        (lambda: spreading_6p3(101), 307),
+        (lambda: crowning(spreading_6p3(11)), 79),
+        (lambda: star_expansion(30), 59),
+    ],
+    ids=["spreading_6p3(101)", "crowning(spreading_6p3(11))", "star_expansion(30)"],
+)
+def test_expander_memory_with_many_triples(build, worst):
+    # spreading_6p3(101), 51,612 triples on 609 vertices: sweeping the
+    # 154,836 covered pairs for each block held pair-indexed temporaries past
+    # 8 MiB.  The sparse systems, with over n/3 vertices in triples, hold
+    # about three byte rows per such vertex in a block: blocks sized for n
+    # rows alone would peak at 14.1 and 16.5 MiB.
+    s = build()
     rep, peak = traced_peak(lambda: expander_deficiency(s, max_size=2))
     assert rep.per_size_min_neighbourhood == {1: 0, 2: 0}
-    assert (rep.min_deficiency, rep.worst_set) == (1, frozenset({0, 307}))
+    assert (rep.min_deficiency, rep.worst_set) == (1, frozenset({0, worst}))
     assert peak < kernel._PAIR_BYTES
 
 

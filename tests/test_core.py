@@ -339,9 +339,9 @@ def assert_first_defect(n, given_, expected):
 
 def assert_same_index(s, other):
     assert (s.n, s.triples) == (other.n, other.triples)
-    arrays = (s.triple_array, s.pair_codes, s.pair_thirds, *s.sweep_pairs)
-    others = (other.triple_array, other.pair_codes, other.pair_thirds)
-    for a, b in zip(arrays, others + other.sweep_pairs):
+    arrays = (s.triple_array, *s._pair_index(), *s.sweep_pairs)
+    others = (other.triple_array, *other._pair_index(), *other.sweep_pairs)
+    for a, b in zip(arrays, others):
         assert a.dtype == b.dtype and not a.flags.writeable
         assert np.array_equal(a, b)
 
@@ -496,12 +496,12 @@ def test_index_is_compact():
     tracemalloc.start()
     try:
         s = build_system(189, triples)
-        s.pair_codes, s.sweep_pairs
+        s._pair_index(), s.sweep_pairs
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert retained < 160 * len(triples)
-    arrays = (s.triple_array, s.pair_codes, s.pair_thirds, *s.sweep_pairs)
+    arrays = (s.triple_array, *s._pair_index(), *s.sweep_pairs)
     assert not any(a.flags.writeable for a in arrays)
 
 
@@ -525,7 +525,7 @@ def test_validation_retains_only_the_triple_array():
     assert retained < 25 * len(a)
     retained += traced_growth(lambda: s.sweep_pairs)[1]
     assert retained < 73 * len(a)
-    retained += traced_growth(lambda: s.pair_codes)[1]
+    retained += traced_growth(s._pair_index)[1]
     assert retained < 121 * len(a)
     # a linear system covers 3m pairs, so Steiner is a count, not a lookup
     sts = bose_skolem(67)
@@ -554,17 +554,17 @@ def test_lazy_caches_agree_with_eager_ones(s, bare, index_first):
     for w, group in zip(thirds.tolist(), groups):
         expected = sorted((a, b) for a, b, c in slots if c == w)
         assert sorted(map(tuple, group.tolist())) == expected
-    first = ("pair_codes", "sweep_pairs") if index_first else ("sweep_pairs",)
-    for name in first:
-        getattr(s, name)
-    lazy = (s.pair_codes, s.pair_thirds, *s.sweep_pairs)
+    if index_first:
+        s._pair_index()
+    s.sweep_pairs
+    lazy = (*s._pair_index(), *s.sweep_pairs)
     for a, b in zip(lazy, eager):
         assert a.dtype == b.dtype and np.array_equal(a, b)
         assert not a.flags.writeable
-    again = (s.pair_codes, s.pair_thirds, *s.sweep_pairs)
+    again = (*s._pair_index(), *s.sweep_pairs)
     assert all(a is b for a, b in zip(lazy, again))
     with pytest.raises(AttributeError):
-        s.pair_codes = eager[0]
+        s.sweep_pairs = eager[2:]
     s._index = s._sweep = None
-    for a, b in zip((s.pair_codes, s.pair_thirds, *s.sweep_pairs), eager):
+    for a, b in zip((*s._pair_index(), *s.sweep_pairs), eager):
         assert np.array_equal(a, b)
