@@ -62,13 +62,6 @@ def _require_odd_prime(p: int, what: str) -> int:
     return p
 
 
-def _canonical_rows(rows: np.ndarray) -> np.ndarray:
-    """Distinct triple rows in the order build_system takes in bulk: each
-    row sorted, then the rows sorted lexicographically."""
-    rows = np.sort(rows, axis=1)
-    return rows[np.lexsort(rows.T[::-1])]
-
-
 def _halving(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pairs i < j of Z_q, q odd, and k = (i+j)/2 in Z_q, as int32.
 
@@ -104,7 +97,7 @@ def bose_skolem(q: int) -> TripleSystem:
             (2 * q + i, 2 * q + j, k),
         ]
     ).T
-    return build_system(3 * q, _canonical_rows(rows))
+    return build_system(3 * q, rows)
 
 
 def spreading_6p3(p: int) -> TripleSystem:
@@ -156,8 +149,7 @@ def spreading_6p3(p: int) -> TripleSystem:
         ]
     ).T
     once = rho[rows]
-    rows = np.concatenate([rows, once, rho[once], orange])
-    return build_system(6 * p + 3, _canonical_rows(rows))
+    return build_system(6 * p + 3, np.concatenate([rows, once, rho[once], orange]))
 
 
 def crowning(system: TripleSystem, keep: Iterable[int] | None = None) -> TripleSystem:
@@ -179,7 +171,7 @@ def crowning(system: TripleSystem, keep: Iterable[int] | None = None) -> TripleS
         edges = edges[chosen]
     fresh = system.n + np.arange(len(edges))
     rows = np.concatenate([system.triple_array, np.column_stack([edges, fresh])])
-    return build_system(system.n + len(edges), _canonical_rows(rows))
+    return build_system(system.n + len(edges), rows)
 
 
 def cayley_latin(p: int) -> TripleSystem:
@@ -190,7 +182,7 @@ def cayley_latin(p: int) -> TripleSystem:
     subsquares, which is what the weak-spreading property rests on.
     """
     p = _require_odd_prime(p, "cayley_latin")
-    i, j = np.divmod(np.arange(p * p), p)  # row by row: the rows are canonical
+    i, j = np.divmod(np.arange(p * p), p)  # row by row: canonical, so no sort
     return build_system(3 * p, np.column_stack([i, p + j, 2 * p + (i + j) % p]))
 
 
@@ -215,7 +207,7 @@ def from_latin_square(square: Sequence[Sequence[int]]) -> TripleSystem:
                     f"symbol {symbol} at row {i}, column {j} outside [0, {k})"
                 )
             symbols[i, j] = symbol
-    # row by row, then column by column: the rows come out canonical
+    # row by row, then column by column: canonical rows, which need no sort
     i, j = np.divmod(np.arange(k * k), k)
     rows = np.column_stack([i, k + j, 2 * k + symbols.ravel()])
     return build_system(3 * k, rows)
@@ -232,6 +224,6 @@ def star_expansion(m: int) -> TripleSystem:
     m = operator.index(m)
     if m <= 3:
         raise OutOfRange(f"star expansion needs a base of more than 3, got {m}")
-    i, j = np.triu_indices(m, 1)  # in lexicographic order, so canonical rows
+    i, j = np.triu_indices(m, 1)  # lexicographic: canonical rows, so no sort
     rows = np.column_stack([i, j, m + np.arange(len(i))])
     return build_system(m + len(i), rows)

@@ -110,21 +110,21 @@ class TripleSystem:
             bound = "non-negative" if n < 0 else f"at most {_MAX_ORDER}"
             raise VertexOutOfRange(f"vertex count must be {bound}, got {n}")
         self.n = n
-        # Per triple go lists, relabelled systems and the search's witness,
-        # a DFS placement, whose rows need not be in lex order, so they are
-        # sorted and deduplicated.  An array of canonical rows that casts
-        # safely to intp, as a parsed file's and a generator's do, is taken
-        # in bulk: it needs no sort or dedupe.  uint64, float and object
-        # arrays do not cast, and a bool row is never strictly increasing, so
-        # those go per triple, like any other array.
-        bulk = isinstance(triples, np.ndarray) and triples.shape[1:] == (3,)
-        if (
-            bulk
-            and np.can_cast(triples.dtype, np.intp)
-            and all(mask.all() for mask in _canonical(triples))
-        ):
-            t = triples.astype(np.intp)  # a copy: the caller's array stays writeable
-            tri = None
+        # An (m, 3) int or uint array that casts safely to intp is sorted in
+        # numpy, in its own dtype (faster than intp), where not canonical;
+        # lists and other arrays (bool, uint64, float, object) go per triple.
+        array = isinstance(triples, np.ndarray) and triples.shape[1:] == (3,)
+        if array and triples.dtype.kind in "iu" and np.can_cast(triples.dtype, np.intp):
+            t, (increasing, above) = triples, _canonical(triples)
+            if not (rows_sorted := increasing.all()):
+                t = np.sort(t, axis=1)
+                if (same := (t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2])).any():
+                    entries = tuple(triples[same.argmax()].tolist())  # as given
+                    raise DegenerateTriple(f"repeated vertex in triple {entries!r}")
+            if not (rows_sorted and above.all()):
+                t = t[np.lexsort(t.T[::-1])]
+                t = t[_canonical(t)[1]]  # not above the row before: a repeat
+            t, tri = t.astype(np.intp), None  # a copy: the caller's array is untouched
         else:
             # dict keeps input order, so triples that arrive sorted sort in O(m)
             tri = tuple(sorted(dict.fromkeys(map(_normalize_triple, triples))))
@@ -276,12 +276,11 @@ def build_system(n: int, triples: Iterable[Iterable[int]] = ()) -> TripleSystem:
 
     Triples may arrive in any entry order and with duplicates; they are
     sorted and deduplicated, then checked in lexicographic order, so the
-    error names the lexicographically first defect.  An (m, 3) ndarray that
-    casts safely to intp (not uint64, float or object) of canonical rows,
-    each strictly increasing and above the row before, is taken in bulk,
-    with no Python work per triple: the generators in constructions pass
-    such arrays, as the parser does.  Any other array, like any other
-    iterable, is normalised one triple at a time, which is cheaper for a
+    error names the lexicographically first defect.  An (m, 3) int or uint
+    ndarray that casts safely to intp (not uint64) is sorted in numpy, with
+    no Python work per triple and no sort at all where its rows are already
+    canonical, each strictly increasing and above the row before.  Lists
+    and other arrays are normalised one triple at a time, cheaper for a
     few triples.  Raises DegenerateTriple for the first triple, in input
     order, without three distinct entries, VertexOutOfRange (``.triple`` is
     the offending triple; None when n itself is out of range) and

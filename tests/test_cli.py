@@ -372,17 +372,20 @@ def test_parse_memory():
 
 
 def test_parsed_rows_are_taken_in_bulk():
-    # a canonical-rows check that is too strict would send every parsed row
-    # through the per-triple normaliser, with the same result, only slower
+    # parsed rows go to build_system as one array, and they are canonical: a
+    # canonical-rows check that is too strict would add a sort, not a result
     system = spreading_6p3(5)
     text = serialize_system(system)
     lines = text.splitlines(keepends=True)
     lines[-1] = lines[-1].replace(" ", "\xa0", 1)  # read by token, not in bulk
     wrapped = core._normalize_triple
     for given_ in (text, "".join(lines)):
-        with patch.object(core, "_normalize_triple", wraps=wrapped) as per_triple:
+        with (
+            patch.object(core, "_normalize_triple", wraps=wrapped) as per_triple,
+            patch.object(np, "lexsort", wraps=np.lexsort) as lexsort,
+        ):
             parsed = parse_system(given_)
-        assert parsed == system and not per_triple.called
+        assert parsed == system and not per_triple.called and not lexsort.called
     # the plain lines stay in bulk: only the one other line is read by token
     with patch.object(cli, "_read_lines", wraps=cli._read_lines) as per_line:
         parse_system("".join(lines))

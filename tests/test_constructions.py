@@ -244,8 +244,8 @@ def test_star_expansion_equals_per_triple_oracle(m):
 
 
 def test_generators_hand_build_system_canonical_arrays():
-    # a generator whose rows were not canonical would be normalised one
-    # triple at a time, with the same result, only slower
+    # every generator hands build_system one integer array, sorted there in
+    # numpy when its rows are not canonical, never one triple at a time
     base = spreading_6p3(5)
     calls = [
         lambda: bose_skolem(9),

@@ -255,9 +255,9 @@ def test_build_system_reports_the_naive_first_defect(seed, n, kinds):
 )
 def test_build_system_from_arrays_reports_the_naive_first_defect(seed, n, kinds):
     """An integer array of triples builds the system the list builds, or
-    raises the naive first defect; for int64, int32 and, when no vertex is
-    negative, uint16.  When no triple repeats a vertex, so do the same
-    triples in canonical form, which are taken in bulk."""
+    raises the naive first defect, in numpy, with no per-triple normaliser;
+    for int64, int32 and, when no vertex is negative, uint16.  When no
+    triple repeats a vertex, so do the same triples in canonical form."""
     rng = random.Random(seed)
     triples = list(random_linear_system(rng, n).triples)
     for kind in kinds:
@@ -269,18 +269,22 @@ def test_build_system_from_arrays_reports_the_naive_first_defect(seed, n, kinds)
         dtypes.append(np.uint16)
     forms = [triples] + [np.array(triples, dt).reshape(-1, 3) for dt in dtypes]
     expected = first_defect_naive(n, triples)
+    wrapped = core._normalize_triple
     for given_ in forms:
+        with patch.object(core, "_normalize_triple", wraps=wrapped) as per_triple:
+            if expected is None:
+                s = build_system(n, given_)
+            else:
+                assert_first_defect(n, given_, expected)
+        if isinstance(given_, np.ndarray):
+            assert not per_triple.called
         if expected is None:
-            s = build_system(n, given_)
             assert s.triples == tuple(sorted({tuple(sorted(t)) for t in triples}))
             assert_same_index(s, build_system(n, [tuple(t) for t in triples]))
-        else:
-            assert_first_defect(n, given_, expected)
     if all(len(set(t)) == 3 for t in triples):
         canonical = sorted({tuple(sorted(t)) for t in triples})
         array = np.array(canonical, np.int64).reshape(-1, 3)
         expected = first_defect_naive(n, canonical)
-        wrapped = core._normalize_triple
         with patch.object(core, "_normalize_triple", wraps=wrapped) as per_triple:
             if expected is None:
                 s = build_system(n, array)
@@ -306,7 +310,7 @@ def test_build_system_from_arrays_reports_the_naive_first_defect(seed, n, kinds)
 def test_bulk_arrays_with_repeated_codes_report_the_naive_first_defect(
     seed, n, kinds
 ):
-    """Canonical int64 arrays, taken in bulk, whose pair codes repeat: pairs
+    """Canonical int64 arrays, which need no sort, whose pair codes repeat: pairs
     covered again, and out-of-range vertices whose codes equal a covered
     pair's, directly or by wrapping around.  The plain sort finds the
     repeats, and the stable sort then names the naive first defect."""
@@ -354,7 +358,30 @@ def test_build_system_array_forms():
     assert_same_index(s, build_system(5, rows.tolist()))
     # the caller's array is neither sorted in place nor frozen
     assert rows.flags.writeable and rows[0].tolist() == [4, 3, 2]
-    # canonical rows are taken in bulk, from a copy even when already intp
+    # a relabelled system's array is sorted in numpy, like its list, and
+    # neither the permuted array nor the system's read-only one changes
+    base = spreading_6p3(5)
+    perm = np.array(random.Random(7).sample(range(base.n), base.n))
+    relabelled = perm[base.triple_array]
+    kept, before = relabelled.copy(), base.triple_array.copy()
+    wrapped = core._normalize_triple
+    with patch.object(core, "_normalize_triple", wraps=wrapped) as per_triple:
+        s = build_system(base.n, relabelled)
+        same = build_system(base.n, base.triple_array)
+    assert not per_triple.called
+    listed = [[int(perm[v]) for v in t] for t in base.triples]
+    assert_same_index(s, build_system(base.n, listed))
+    assert same == base
+    assert np.array_equal(relabelled, kept) and relabelled.flags.writeable
+    assert np.array_equal(base.triple_array, before)
+    assert not base.triple_array.flags.writeable
+    # the first row, in input order, with a repeated vertex is named as given
+    degenerate = [[2, 1, 0], [4, 4, 1], [3, 3, 3]]
+    for given_ in (np.array(degenerate), degenerate):
+        with pytest.raises(DegenerateTriple) as exc:
+            build_system(6, given_)
+        assert str(exc.value) == "repeated vertex in triple (4, 4, 1)"
+    # canonical rows need no sort, and are copied even when already intp
     canonical = [[0, 1, 2], [0, 3, 4], [1, 3, 5]]
     rows = np.array(canonical, dtype=np.intp)
     s = build_system(6, rows)
@@ -385,8 +412,8 @@ def test_build_system_array_forms():
         build_system(5, np.array([[0, 1], [2, 3]]))
     with pytest.raises(TypeError):
         build_system(5, np.array([[0.0, 1.0, 2.0]]))
-    # bool casts to intp, but a bool row is never strictly increasing, so it
-    # goes per triple and raises as the list of its rows does
+    # bool casts to intp, but is no integer kind, so it goes per triple and
+    # raises as the list of its rows does
     flags = np.array([[False, True, True]])
     raised = []
     for triples in (flags, list(flags)):
@@ -476,7 +503,7 @@ def test_first_uncovered_pair_is_the_first_uncovered_edge(s):
 @given(random_systems, st.randoms(use_true_random=False))
 def test_list_and_array_built_systems_agree(s, rng):
     # the list goes one triple at a time, in any order; the canonical array
-    # is taken in bulk.  Both build their triples tuple only when asked.
+    # needs no sort.  Both build their triples tuple only when asked.
     listed = [rng.sample(t, 3) for t in s.triples]
     rng.shuffle(listed)
     by_list = build_system(s.n, listed)
