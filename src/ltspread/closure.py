@@ -24,10 +24,9 @@ seeds (_combinations; _rank inverts it) and scatter them into M (_pack);
 is_spreading first drops each 3-set that a swap (see there) turns into a
 lexicographically smaller one with the same closure.
 The extremal search checks a chunk of candidate systems, one (K, m, 3)
-array, in one kernel call (_weakly_spreading_each): a lone candidate's
-seeds are swept over its own triples, and a larger chunk's over the union
-of their triples under a gate, one packed row per pair, that lets each
-triple act only on the seeds of the candidates holding it.
+array, in one kernel call (_weakly_spreading_each): the chunk is one
+system on K disjoint copies of range(n), one per candidate, so each
+candidate's seeds close in its own copy, whatever K is.
 expander_deficiency runs no sweep.  It scans every size from 1 up and
 builds each size's packed, lex-ordered sets from the size below by
 Pascal's rule (_subsets), with one row per vertex in some triple for the
@@ -204,22 +203,14 @@ def _unpack(words: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=-1, count=count, bitorder="little")
 
 
-def _close_batch(
-    n: int,
-    rows: np.ndarray,
-    pairs: tuple[np.ndarray, ...],
-    gate: np.ndarray | None = None,
-) -> np.ndarray:
+def _close_batch(n: int, rows: np.ndarray, pairs: tuple[np.ndarray, ...]) -> np.ndarray:
     """Packed closures of seed rows: sweep until no closure grows.  A sweep
     grows M[z] by N[z], the OR of M[x] & M[y] over the pairs of z, minus
-    M[z].  A gate, one packed row per pair, masks each term M[x] & M[y]."""
+    M[z]."""
     x, y, starts, zs = pairs
     m = _pack(n, rows)
     while True:
-        terms = m[x] & m[y]
-        if gate is not None:
-            terms &= gate
-        grow = np.bitwise_or.reduceat(terms, starts) & ~m[zs]
+        grow = np.bitwise_or.reduceat(m[x] & m[y], starts) & ~m[zs]
         if not grow.any():
             return m
         m[zs] |= grow
@@ -311,31 +302,23 @@ def _weakly_spreading_each(n: int, cands: np.ndarray) -> np.ndarray:
     intp array of sorted triples, is weakly spreading, as a bool array, from
     one kernel call.
 
-    The seeds t1 + t2 of every system take one bit each of a single block.
-    A lone system's seeds are swept over its own triples.  More systems'
-    seeds are swept over the union of their triples, which need not be
-    linear, under a gate: row t marks the seeds of the systems that hold
-    union triple t, so t adds third points to those seeds only, and each
-    seed closes in its own system.  A system holds when all its seeds close
-    to range(n).  Union triples are coded (x*n + y)*n + z in int64
-    (np.unique over rows is several times slower), and the caller keeps
-    the seeds within a block.
+    The K systems are laid out as one system on K disjoint copies of
+    range(n): vertex v of system c is kernel row c*n + v.  Seed row s holds
+    the seed t1 + t2 at position s of every system, each in its own copy,
+    so bit s of system c's rows is that seed's closure in system c; no
+    triple of one system touches another's rows.  A system holds when each
+    of its seeds sets its bit in all its n rows.  The caller keeps K times
+    C(m, 2) within one block's seeds, which bounds the K*n vertex rows and
+    3mK pair rows of the sweep.
     """
     k, m = cands.shape[:2]
     pos = np.arange(m)  # np.triu_indices costs several times as much
     i, j = np.nonzero(pos[:, None] < pos)  # the positions of t1 and t2
-    rows = np.concatenate((cands[:, i], cands[:, j]), axis=2).reshape(-1, 6)
-    if k == 1:  # one system holds all of its union: the gate would be all ones
-        closed = _close_batch(n, rows, _sweep_pairs(*_slots(cands[0]))[0])
-    else:
-        codes = (cands[..., 0] * n + cands[..., 1]) * n + cands[..., 2]
-        union, which = np.unique(codes.ravel(), return_inverse=True)
-        gate = _pack(len(union), np.repeat(which.reshape(k, m), len(i), axis=0))
-        ut = np.stack((union // (n * n), union // n % n, union % n), axis=1)
-        pairs, owner = _sweep_pairs(*_slots(ut))  # owner: each slot's triple
-        closed = _close_batch(n, rows, pairs, gate[owner])
-    fails = _unpack(~np.bitwise_and.reduce(closed, axis=0), len(rows))
-    return ~fails.reshape(k, -1).any(axis=1)
+    t = (cands + np.arange(0, k * n, n)[:, None, None]).transpose(1, 0, 2)
+    rows = np.concatenate((t[i], t[j]), axis=2).reshape(len(i), 6 * k)
+    closed = _close_batch(k * n, rows, _sweep_pairs(*_slots(t.reshape(-1, 3))))
+    spans = np.bitwise_and.reduce(closed.reshape(k, n, -1), axis=1)
+    return ~_unpack(~spans, len(i)).any(axis=1)
 
 
 def is_strongly_connected(system: TripleSystem) -> PropertyVerdict:

@@ -63,19 +63,17 @@ def _slots(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, y, z
 
 
-def _sweep_pairs(
-    x: np.ndarray, y: np.ndarray, z: np.ndarray
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+def _sweep_pairs(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
     """The kernel's (x, y, starts, thirds) of pair slots (x, y, z): the slots
     in a stable sort by third point, where the run from starts[i] has third
-    point thirds[i]; and the row (triple) of each slot in that sort."""
+    point thirds[i]."""
     by_third = np.argsort(z, kind="stable")
     zs = z[by_third]
     first = np.empty(len(zs), dtype=bool)  # where each third's run begins
     first[:1] = True
     np.not_equal(zs[1:], zs[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    return (x[by_third], y[by_third], starts, zs[starts]), by_third % (len(z) // 3)
+    return x[by_third], y[by_third], starts, zs[starts]
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -178,7 +176,7 @@ class TripleSystem:
     @property
     def sweep_pairs(self) -> tuple[np.ndarray, ...]:
         if self._sweep is None:
-            self._sweep = _frozen(*_sweep_pairs(*_slots(self.triple_array))[0])
+            self._sweep = _frozen(*_sweep_pairs(*_slots(self.triple_array)))
         return self._sweep
 
     @property

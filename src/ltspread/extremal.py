@@ -19,13 +19,12 @@ building them.  One generator per level (_level) places them, counts the
 placements and cuts them into chunks of 1, 2, 4, 8, ... candidates, up
 to as many as one kernel block holds seeds for.  A level's candidates
 all hold m triples, so a chunk is one (K, m, 3) array, and it closes in
-one kernel call, one bit per (candidate, seed) pair: a chunk of one over
-its own triples, a larger one over the union of its triples under a gate
-(see closure._weakly_spreading_each).  Only the first passing candidate
-becomes a TripleSystem.  Each candidate carries the node count at which
-it was placed, so reading ahead leaves nodes_explored as it was, and a
-chunk cut short by the budget is checked before the budget error is
-raised.
+one kernel call, one bit per (candidate, seed) pair, as one system on K
+disjoint copies of range(n) (see closure._weakly_spreading_each).  Only
+the first passing candidate becomes a TripleSystem.  Each candidate
+carries the node count at which it was placed, so reading ahead leaves
+nodes_explored as it was, and a chunk cut short by the budget is checked
+before the budget error is raised.
 """
 
 from __future__ import annotations

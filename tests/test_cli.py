@@ -883,24 +883,78 @@ def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
+STS9 = {"n": 9, "m": 12, "steiner": True}
+REPORTS = [
+    (
         ["construct", "--family", "star-expansion", "--p", "4", "--json"],
+        {
+            "command": "construct",
+            "family": "star-expansion",
+            "system": {"n": 10, "m": 6, "steiner": False},
+        },
+    ),
+    (
         ["check", "--input", "{}", "--property", "linear"],
+        {
+            "command": "check",
+            "property": "linear",
+            "system": STS9,
+            "holds": True,
+            "witness": None,
+            "checked_count": 12,
+        },
+    ),
+    (
         ["closure", "--input", "{}", "--set", "0,1"],
+        {
+            "command": "closure",
+            "system": STS9,
+            "set": [0, 1],
+            "neighbourhood": [5],
+            "closure": [0, 1, 5],
+        },
+    ),
+    (
         ["expander", "--input", "{}"],
+        {
+            "command": "expander",
+            "system": STS9,
+            "min_deficiency": 0,
+            "per_size_min_neighbourhood": {"1": 0, "2": 1, "3": 0, "4": 3},
+            "worst_set": [0, 1, 5],
+            "min_ratio": {"numerator": 3, "denominator": 4},
+        },
+    ),
+    (
         ["search", "--min-wsp", "--n", "5"],
+        {
+            "command": "search",
+            "n": 5,
+            "minimum": 2,
+            "witness": [[0, 1, 2], [0, 3, 4]],
+            "nodes_explored": 2,
+            "exhaustive_below": True,
+        },
+    ),
+    (
         ["bounds", "--density", "3"],
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_every_report_leads_with_its_command(tmp_path, capsys, argv):
+        {
+            "command": "bounds",
+            "density": {"p": 3, "n": 21, "m": 64, "ratio": 0.14512471655328799},
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(("argv", "report"), REPORTS, ids=[a[0] for a, _ in REPORTS])
+def test_every_report_leads_with_its_command(tmp_path, capsys, argv, report):
+    # the report's exact bytes: its keys in this order, led by "command",
+    # two-space indents and one closing newline
     path = write(tmp_path, "sts9.lts", serialize_system(bose_skolem(3)))
     code, out, _ = run_cli(capsys, *(word.format(path) for word in argv))
     assert code == 0
-    report = json.loads(out[out.index("{") :])  # construct writes its system first
-    assert next(iter(report)) == "command" and report["command"] == argv[0]
+    out = out[out.index("{") :]  # construct writes its system first
+    assert out.encode() == (json.dumps(report, indent=2) + "\n").encode()
 
 
 def test_construct_without_json_prints_no_report(capsys):

@@ -449,27 +449,39 @@ def test_kernel_expander_agrees_with_naive_oracle(block, pair_bytes, s, data):
     assert rep.min_ratio == want["min_ratio"]
 
 
-@settings(max_examples=60, deadline=None)
-@given(random_systems, st.randoms(use_true_random=False))
-def test_kernel_gate_masks_a_triple_for_one_seed(s, rng):
-    n, pairs = s.n, s.sweep_pairs
-    rows = np.array([rng.sample(range(n), 3) for _ in range(rng.randint(1, 100))])
-    plain = kernel._close_batch(n, rows, pairs)
-    gate = np.full((len(pairs[0]), plain.shape[1]), ~np.uint64(0))
-    np.testing.assert_array_equal(kernel._close_batch(n, rows, pairs, gate), plain)
-    if not s.triples:
-        return
-    # clear the three terms of triple t in the bit of seed b only
-    t, b = rng.choice(s.triples), rng.randrange(len(rows))
-    x, y, starts, thirds = pairs
-    z = np.repeat(thirds, np.diff(starts, append=len(x)))
-    terms = np.sort(np.stack((x, y, z), axis=1), axis=1)
-    gate[(terms == t).all(axis=1), b // 64] ^= np.uint64(1 << b % 64)
-    got = kernel._unpack(kernel._close_batch(n, rows, pairs, gate), len(rows))
-    without = build_system(n, [u for u in s.triples if u != t])
-    for i, seed in enumerate(rows.tolist()):
-        want = closure_naive(without if i == b else s, seed)
-        assert set(np.flatnonzero(got[:, i]).tolist()) == want
+def test_expander_budget_is_exactly_the_planned_subsets():
+    # sizes 1..7 of 15 vertices are 16,383 subsets: that budget passes
+    s = bose_skolem(5)
+    assert sum(comb(15, k) for k in range(1, 8)) == 16383
+    assert expander_deficiency(s, max_size=7, budget=16383).min_deficiency == 0
+    with pytest.raises(BudgetExceeded) as exc:
+        expander_deficiency(s, max_size=7, budget=16382)
+    assert str(exc.value) == (
+        "enumerating sizes up to 7 needs 16383+ subsets (budget 16382); "
+        "size 6 is the largest that fits"
+    )
+
+
+def test_expander_default_budget_is_checked_before_any_subset():
+    # the default max_size is 14, and sizes 1..13 of 28 vertices pass 10^8
+    # subsets; a larger default budget would enumerate, which fails at once
+    unplanned = patch.object(kernel, "_subset_blocks", side_effect=AssertionError)
+    with unplanned, pytest.raises(BudgetExceeded) as exc:
+        expander_deficiency(build_system(28))
+    assert str(exc.value) == (
+        "enumerating sizes up to 14 needs 114159427+ subsets (budget 100000000); "
+        "size 12 is the largest that fits"
+    )
+
+
+def test_expander_builds_each_table_from_the_one_below():
+    # on 21 vertices, sizes 1..4 are one table each, built from the table
+    # of the size below, and size 5's 20,349 sets are two blocks built from
+    # the size-4 table: six builds in all
+    with patch.object(kernel, "_subsets", wraps=kernel._subsets) as spy:
+        rep = expander_deficiency(bose_skolem(7), max_size=5)
+    assert spy.call_count == 6
+    assert rep.per_size_min_neighbourhood == {1: 0, 2: 1, 3: 0, 4: 3, 5: 3}
 
 
 @st.composite

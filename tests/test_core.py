@@ -573,7 +573,7 @@ def test_lazy_caches_agree_with_eager_ones(s, bare, index_first):
     x, y, z = np.array(slots, dtype=np.intp).reshape(-1, 3).T
     codes = x * n + y
     by_code = np.argsort(codes, kind="stable")
-    eager = (codes[by_code], z[by_code], *core._sweep_pairs(x, y, z)[0])
+    eager = (codes[by_code], z[by_code], *core._sweep_pairs(x, y, z))
     # the kernel layout lists, for each third point, the pairs it completes
     xs, ys, starts, thirds = eager[2:]
     groups = np.split(np.stack((xs, ys), axis=1), starts[1:])

@@ -1,6 +1,7 @@
 """Extremal search and ordering certificates."""
 
 import heapq
+import random
 from itertools import combinations, islice
 from math import comb
 from unittest.mock import patch
@@ -31,7 +32,9 @@ from helpers import (
     min_weakly_spreading_naive,
     normalized_orderings_naive,
     ordering_naive,
+    random_linear_system,
     random_systems,
+    traced_peak,
     weakly_spreading_naive,
 )
 
@@ -296,12 +299,29 @@ def test_sliced_weak_check_on_search_candidates(level, data):
 
 
 def test_a_chunk_of_one_packs_only_its_seeds():
-    # one candidate sweeps its own triples; two pack a gate for their union
+    # any chunk is one system on disjoint copies of range(n): one _pack of
+    # its seeds, and no union of the candidates' triples to take
     cands = np.array(LEVELS[10, 7][:2], dtype=np.intp)
-    for k, packs in ((1, 1), (2, 2)):
-        with patch("ltspread.closure._pack", wraps=_pack) as spy:
+    for k in (1, 2):
+        with patch("ltspread.closure._pack", wraps=_pack) as pack, patch(
+            "numpy.unique", wraps=np.unique
+        ) as unique:
             _weakly_spreading_each(10, cands[:k])
-        assert spy.call_count == packs, k
+        assert (pack.call_count, unique.call_count) == (1, 0), k
+
+
+@pytest.mark.parametrize(
+    ("n", "size", "passing"), [(10, 13, 12), (11, 23, 9), (12, 23, 1)]
+)
+def test_weak_check_on_seeds_past_one_word(n, size, passing):
+    # 12 triples give C(12, 2) = 66 seeds, so each system's rows take two
+    # words; the first 12 triples of a random linear system stay linear
+    drawn = (random_linear_system(random.Random(seed), n, 1.0) for seed in range(60))
+    chunk = [s.triples[:12] for s in drawn if len(s.triples) >= 12]
+    holds = _weakly_spreading_each(n, np.array(chunk, dtype=np.intp))
+    want = [weakly_spreading_naive(build_system(n, t))[0] for t in chunk]
+    assert holds.tolist() == want
+    assert (len(chunk), sum(want)) == (size, passing)  # passing and failing
 
 
 @pytest.mark.parametrize(
@@ -315,6 +335,15 @@ def test_sliced_weak_check_on_a_full_block(n, m, size, passing):
     want = [is_weakly_spreading(build_system(n, cand)).holds for cand in chunk]
     assert holds.tolist() == want
     assert sum(want) == passing
+
+
+def test_a_full_block_chunk_stays_small():
+    # 455 candidates of n = 12, m = 9: 16,380 seeds on 5,460 kernel rows
+    chunk = np.array(list(islice(placements(12, 9), 455)), dtype=np.intp)
+    assert len(chunk) == _BLOCK // comb(9, 2)
+    holds, peak = traced_peak(lambda: _weakly_spreading_each(12, chunk))
+    assert not holds.any()  # n = 12 needs 10 triples
+    assert peak < 2.25 * 2**20
 
 
 def test_minimum_verified_by_unconstrained_search_n5():
