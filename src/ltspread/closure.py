@@ -11,7 +11,8 @@ joined in the round before, so it reads each triple at most three times,
 and it stops once no vertex joins or every vertex is in.  The verifiers
 close batches of seeds on one bit-sliced kernel (after Biham, FSE 1997),
 where a single seed would use one bit of each 64-bit word.  Blocks of
-seeds become uint64 matrices M, one row per vertex and one bit per seed,
+seeds become uint64 matrices M, one row per vertex and one bit per seed
+(bit s of a row is numeric bit s % 64 of word s // 64, on any host),
 swept with M[z] |= M[x] & M[y] over all covered pairs until nothing
 changes, on the system's sweep_pairs.  A block holds _BLOCK seeds, or
 fewer when a pair-indexed sweep temporary (3m rows) or a vertex-indexed
@@ -22,23 +23,21 @@ are int64, which caps spreading at n = 3,810,779 and strong connectivity
 at n = 121,977.  The verifiers that scan a single seed size unrank their
 seeds (_combinations; _rank inverts it) and scatter them into M (_pack);
 is_spreading first drops each 3-set that a swap (see there) turns into a
-lexicographically smaller one with the same closure.
-The extremal search checks a chunk of candidate systems, one (K, m, 3)
-array, in one kernel call (_weakly_spreading_each): the chunk is one
-system on K disjoint copies of range(n), one per candidate, so each
-candidate's seeds close in its own copy, whatever K is.
+lexicographically smaller one with the same closure.  The extremal
+search checks a chunk of K candidate systems in one kernel call, as one
+system on K disjoint copies of range(n) (_weakly_spreading_each).
 expander_deficiency runs no sweep.  It scans every size from 1 up and
 builds each size's packed, lex-ordered sets from the size below by
 Pascal's rule (_subsets), with one row per vertex in some triple for the
 third points of their covered pairs: those of {a} plus T are those of T
 and, a row permutation of T, the third points of the pairs {a, t}.  Less
-the set itself, that is its neighbourhood, so a block is only counted.
-Each size but the last is one table, sliced into blocks, when it fits
-within _PAIR_BYTES; other sizes are built block by block by the same rule.
-neighbourhood() looks the O(|S|^2) pairs of its set up in the system's
-pair index, by vertex pair.  Witnesses: seeds go in size-ascending, then
-lexicographic order, and the first failure is the lowest failing bit of
-the first block that has one.
+the set itself, that is its neighbourhood, so a block is only counted;
+the 3-sets that held one of their own vertices are the triples (see
+_subset_blocks for the tables and blocks).  neighbourhood() looks the
+O(|S|^2) pairs of its set up in the system's pair index, by vertex pair.
+Witnesses: seeds go in size-ascending, then lexicographic order, and the
+first failure, which _scan returns, is the lowest failing bit of the
+first block that has one.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -192,15 +191,16 @@ def _rank(n: int, row: Sequence[int]) -> int:
 
 
 def _pack(n: int, rows: np.ndarray) -> np.ndarray:
-    """Seed rows as the (n, words) uint64 M: bit i of row v says v in seed i."""
+    """Seed rows as the (n, words) "<u8" M: bit i of row v says v in seed i."""
     bits = np.zeros((n, -(-len(rows) // 64) * 64), dtype=bool)
     bits[rows.T, np.arange(len(rows))] = True
-    return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
 
 def _unpack(words: np.ndarray, count: int) -> np.ndarray:
-    """The first count per-seed bits of packed words, as 0/1 uint8."""
-    return np.unpackbits(words.view(np.uint8), axis=-1, count=count, bitorder="little")
+    """First count bits of words as 0/1 uint8: bit s is bit s % 64 of word s // 64."""
+    little = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(little, axis=-1, count=count, bitorder="little")
 
 
 def _close_batch(n: int, rows: np.ndarray, pairs: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -216,18 +216,18 @@ def _close_batch(n: int, rows: np.ndarray, pairs: tuple[np.ndarray, ...]) -> np.
         m[zs] |= grow
 
 
-def _scan(system: TripleSystem, blocks: Iterable, witness: Callable) -> PropertyVerdict:
-    """Close blocks of seed rows in order and stop at the first seed whose
-    closure misses a vertex, reported as witness(row as a list)."""
+def _scan(system: TripleSystem, blocks: Iterable) -> tuple[list[int] | None, int]:
+    """Close blocks of seed rows in order; return the first seed whose closure
+    misses a vertex, as a list, or None, and the seeds scanned up to it."""
     pairs, done = system.sweep_pairs, 0
     for rows in blocks:
         spans = np.bitwise_and.reduce(_close_batch(system.n, rows, pairs), axis=0)
         failing = np.flatnonzero(_unpack(~spans, len(rows)))
         if failing.size:
             i = int(failing[0])
-            return PropertyVerdict(False, witness(rows[i].tolist()), done + i + 1)
+            return rows[i].tolist(), done + i + 1
         done += len(rows)
-    return PropertyVerdict(True, None, done)
+    return None, done
 
 
 def is_spreading(
@@ -266,14 +266,14 @@ def is_spreading(
             for k in range(3, n + 1)
             for rows in _combinations(n, k, block)
         )
-        return _scan(system, blocks, frozenset)
+        seed, count = _scan(system, blocks)
+        return PropertyVerdict(not seed, seed and frozenset(seed), count)
     blocks = (rows[_swap_minimal(system, rows)] for rows in _combinations(n, 3, block))
-    found, triples = _scan(system, blocks, tuple), system.triple_array
-    if found.holds:
-        return PropertyVerdict(True, None, math.comb(n, 3) - len(triples))
-    below = bisect.bisect_left(triples, found.witness, key=tuple)  # triples before it
-    rank = _rank(n, found.witness) - below
-    return PropertyVerdict(False, frozenset(found.witness), rank + 1)
+    seed, _ = _scan(system, blocks)
+    if not seed:
+        return PropertyVerdict(True, None, math.comb(n, 3) - len(system.triple_array))
+    below = bisect.bisect_left(system.triple_array, seed, key=list)  # triples before it
+    return PropertyVerdict(False, frozenset(seed), _rank(n, seed) - below + 1)
 
 
 def _swap_minimal(system: TripleSystem, rows: np.ndarray) -> np.ndarray:
@@ -294,7 +294,8 @@ def is_weakly_spreading(system: TripleSystem) -> PropertyVerdict:
     """
     ijs = _combinations(len(system.triple_array), 2, _block_size(system))
     blocks = (system.triple_array[ij].reshape(-1, 6) for ij in ijs)
-    return _scan(system, blocks, lambda seed: (tuple(seed[:3]), tuple(seed[3:])))
+    seed, count = _scan(system, blocks)
+    return PropertyVerdict(not seed, seed and (tuple(seed[:3]), tuple(seed[3:])), count)
 
 
 def _weakly_spreading_each(n: int, cands: np.ndarray) -> np.ndarray:
@@ -461,24 +462,25 @@ def _subsets(
 
 def _subset_blocks(
     system: TripleSystem, max_size: int
-) -> Iterator[tuple[int, int, int, np.ndarray]]:
-    """(k, start, stop, M) for the k-subsets of lexicographic rank
+) -> Iterator[tuple[int, int, int, np.ndarray, np.ndarray]]:
+    """(k, start, stop, M, inside) for the k-subsets of lexicographic rank
     start..stop-1, block by block, for k = 1..max_size in turn.  M is as
     _subsets gives it, with each subset's own vertices cleared from its
-    third-point rows, which then hold exactly its neighbourhood.  Each size
-    but the last is built as one table from the table of the size below
-    when it fits within _PAIR_BYTES, and the blocks are slices of it; the
-    blocks of other sizes are built one by one from the largest table
-    built.  A block unpacks at most n subset rows, and holds each of its t
-    third-point rows about three times (packed, cleared as ~M[thirds], and
-    unpacked to count), so blocks fit max(n, 3t) byte rows: 64 sets past
-    about 43,700 vertices in triples."""
+    third-point rows, which then hold exactly its neighbourhood; inside
+    holds the bits cleared, vertices of triples inside the subset (all of
+    those through its least vertex), so a 3-subset has one exactly when it
+    is a triple.  Each size but the last is built as one table from the
+    table of the size below when it fits within _PAIR_BYTES, and the
+    blocks are slices of it; the blocks of other sizes are built one by one
+    from the largest table built.  A block unpacks at most n subset rows
+    and holds each of its t third-point rows about three times (packed, as
+    inside, and unpacked to count), so blocks fit max(n, 3t) byte rows: 64
+    sets past about 43,700 vertices in triples."""
     n = system.n
     layout = _third_rows(n, system.triple_array)
     thirds = layout[0]
-    # The 3m term bounds no temporary here but keeps dense systems' blocks
-    # near cache size: dropping it sped spreading_6p3(101) and bose_skolem(201)
-    # by 20-30% at max_size=2 but slowed cayley_latin(101) by 10-20%.
+    # The 3m term bounds no temporary here.  Dropping it sped spreading_6p3(101)
+    # and bose_skolem(201) by 20-30% at max_size=2 but slowed cayley_latin(101).
     block = _block_size(system, max(n, 3 * len(thirds)))
     table, level = None, 0  # table holds all level-sets, the largest size built
     for k in range(1, max_size + 1):
@@ -492,8 +494,9 @@ def _subset_blocks(
                 m = table[:, start // 64 : -(-stop // 64)]
             else:
                 m = _subsets(n, k, start, stop, table, level, layout)
-            m[n:] &= ~m[thirds]
-            yield k, start, stop, m
+            inside = m[n:] & m[thirds]
+            m[n:] ^= inside
+            yield k, start, stop, m, inside
 
 
 def expander_deficiency(
@@ -507,10 +510,10 @@ def expander_deficiency(
     max_size defaults to n // 2, the range of interest for expansion.  The
     planned subset count is checked against budget up front and raises
     BudgetExceeded stating the largest size that still fits.  The sets of
-    each size and their neighbourhoods come in packed, lex-ordered blocks
-    built from the size below by Pascal's rule (see _subsets and
-    _subset_blocks), so each block only has its neighbourhood rows
-    counted; no table larger than _PAIR_BYTES is built.
+    each size, their neighbourhoods and the triples min_ratio skips come in
+    packed, lex-ordered blocks built from the size below by Pascal's rule
+    (see _subsets and _subset_blocks), so each block is only counted; no
+    table larger than _PAIR_BYTES is built.
     """
     n = system.n
     if max_size is not None and max_size < 1:
@@ -529,20 +532,17 @@ def expander_deficiency(
                 f"(budget {budget}); size {k - 1} is the largest that fits"
             )
 
-    rows = system.triple_array.tolist() if max_size >= 3 else []
-    triples = np.array([_rank(n, t) for t in rows], int)  # ascending, as rows are
     per_size: dict[int, int] = {}
     attainers: list[tuple[int, int, int]] = []  # (deficiency, size, lex rank)
     ratios: list[Fraction] = []
-    for k, start, stop, m in _subset_blocks(system, max_size):
+    for k, start, stop, m, inside in _subset_blocks(system, max_size):
         bits = _unpack(m[n:], stop - start)
         counts = bits.sum(0, dtype=np.min_scalar_type(n))  # each at most n
         idx = int(np.argmin(counts))
         per_size[k] = min(per_size.get(k, n), int(counts[idx]))
         attainers.append((int(counts[idx]) - (k - 3), k, start + idx))
-        if k == 3:
-            lo, hi = np.searchsorted(triples, (start, stop))
-            counts = np.delete(counts, triples[lo:hi] - start)
+        if k == 3:  # the 3-sets holding a third point are the triples
+            counts = counts[_unpack(np.bitwise_or.reduce(inside), stop - start) == 0]
         if k >= 3 and counts.size:
             ratios.append(Fraction(int(counts.min()), k))
     deficiency, k, rank = min(attainers)

@@ -184,6 +184,9 @@ def test_is_spreading_rejects_bad_arguments():
         is_spreading(build_system(2))
     with pytest.raises(OutOfRange, match="n=21 exceeds 20"):
         is_spreading(bose_skolem(7), "brute_force")
+    # n = 20 is scanned, and its first seed {0, 1, 3} fails
+    v = is_spreading(build_system(20, [(0, 1, 2)]), "brute_force")
+    assert (v.holds, v.witness, v.checked_count) == (False, {0, 1, 3}, 1)
 
 
 def test_unknown_mode_is_out_of_range():
@@ -331,15 +334,23 @@ BLOCK_SIZES = [kernel._BLOCK, 64]
 PAIR_BYTES = [kernel._PAIR_BYTES, 256]
 
 
-def _packed_neighbourhoods(s, rows) -> np.ndarray:
-    """The naive neighbourhoods of seed rows, packed as the expander's blocks
-    hold them: one row per vertex in some triple, one bit per seed."""
+def _packed_thirds(s, rows, vertices) -> np.ndarray:
+    """vertices(s, row) for each seed row, packed as the expander's blocks
+    hold their third-point rows: one row per vertex in some triple, one bit
+    per seed."""
     thirds = sorted(s.span())
     bits = np.zeros((len(thirds), -(-len(rows) // 64) * 64), dtype=bool)
     for i, row in enumerate(rows):
-        out = neighbourhood_naive(s, row)
+        out = vertices(s, row)
         bits[[j for j, v in enumerate(thirds) if v in out], i] = True
-    return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+
+
+def _on_triples(s, row, least=False) -> set[int]:
+    """The vertices of the triples inside the sorted row, or of only those
+    through its least vertex."""
+    inside = [t for t in s.triples if set(t) <= set(row)]
+    return {v for t in inside if not least or t[0] == row[0] for v in t}
 
 
 @pytest.mark.parametrize("pair_bytes", PAIR_BYTES)
@@ -354,9 +365,9 @@ def test_expander_seed_blocks_are_the_lex_ordered_subsets(pair_bytes):
         n, seen = s.n, []
 
         def spy(*args):
-            for k, start, stop, m in builder(*args):
-                seen.append((k, start, stop, m.copy()))
-                yield k, start, stop, m
+            for k, start, stop, m, inside in builder(*args):
+                seen.append((k, start, stop, m.copy(), inside))
+                yield k, start, stop, m, inside
 
         with patch.object(kernel, "_PAIR_BYTES", pair_bytes), patch.object(
             kernel, "_subset_blocks", spy
@@ -368,10 +379,24 @@ def test_expander_seed_blocks_are_the_lex_ordered_subsets(pair_bytes):
             subsets = np.array(list(combinations(range(n), k)))
             for start in range(0, len(subsets), block):
                 rows = subsets[start : start + block]
-                got_k, got_start, stop, m = next(blocks)
+                got_k, got_start, stop, m, inside = next(blocks)
                 assert (got_k, got_start, stop) == (k, start, start + len(rows))
                 np.testing.assert_array_equal(m[:n], kernel._pack(n, rows))
-                np.testing.assert_array_equal(m[n:], _packed_neighbourhoods(s, rows))
+                nbhd = _packed_thirds(s, rows, neighbourhood_naive)
+                np.testing.assert_array_equal(m[n:], nbhd)
+                # inside, the bits cleared, are third points of covered pairs
+                # inside the set: vertices of its triples.  It holds those of
+                # the triples through its least vertex, and may miss the
+                # others (a table it is built from has them cleared).
+                on = _packed_thirds(s, rows, _on_triples)
+                least = _packed_thirds(s, rows, lambda s, r: _on_triples(s, r, True))
+                assert not (inside & ~on).any()
+                assert not (least & ~inside).any()
+                if k <= 3:  # one triple at most, through the least vertex
+                    np.testing.assert_array_equal(inside, on)
+                if k == 3:
+                    held = kernel._unpack(np.bitwise_or.reduce(inside), len(rows))
+                    assert held.tolist() == [s.has_triple(r) for r in rows.tolist()]
         assert next(blocks, None) is None
 
 
@@ -482,6 +507,66 @@ def test_expander_builds_each_table_from_the_one_below():
         rep = expander_deficiency(bose_skolem(7), max_size=5)
     assert spy.call_count == 6
     assert rep.per_size_min_neighbourhood == {1: 0, 2: 1, 3: 0, 4: 3, 5: 3}
+
+
+@pytest.mark.parametrize("pair_bytes, builds", [(31584, 50), (31583, 125)])
+def test_expander_table_cap_holds_a_table_of_its_size(pair_bytes, builds):
+    # the size-4 table of bose_skolem(7), 42 rows of 94 words, is 31,584
+    # bytes: a cap of that size still holds it (four tables, then size 5 in
+    # 46 blocks of 448 sets), and one byte less does not
+    with patch.object(kernel, "_PAIR_BYTES", pair_bytes), patch.object(
+        kernel, "_subsets", wraps=kernel._subsets
+    ) as spy:
+        rep = expander_deficiency(bose_skolem(7), max_size=5)
+    assert spy.call_count == builds
+    assert rep.per_size_min_neighbourhood == {1: 0, 2: 1, 3: 0, 4: 3, 5: 3}
+
+
+@pytest.mark.parametrize("pair_bytes", PAIR_BYTES)
+@pytest.mark.parametrize(
+    "build, ratio",
+    [(lambda: crowning(spreading_6p3(3)), 0), (lambda: bose_skolem(5), 1)],
+    ids=["crowning(spreading_6p3(3))", "bose_skolem(5)"],
+)
+def test_expander_size_three_ratio_skips_exactly_the_triples(build, ratio, pair_bytes):
+    # three pendant vertices of the crowning are a non-triple 3-set with no
+    # neighbourhood; in the Steiner system every non-triple 3-set has three
+    # distinct third points, while each triple has none
+    s = build()
+    with patch.object(kernel, "_PAIR_BYTES", pair_bytes):
+        rep = expander_deficiency(s, max_size=3)
+    want = expander_naive(s, max_size=3)
+    assert rep.min_ratio == want["min_ratio"] == ratio
+    assert rep.min_deficiency == want["min_deficiency"]
+    assert rep.per_size_min_neighbourhood == want["per_size_min_neighbourhood"]
+    assert rep.worst_set == want["worst_set"]
+
+
+def test_expander_ranks_no_triple():
+    # the 924 triples are read off the blocks, not ranked one by one
+    with patch.object(kernel, "_rank", wraps=kernel._rank) as rank:
+        rep = expander_deficiency(spreading_6p3(13), max_size=3)
+    assert rank.call_count == 0
+    assert rep.min_ratio == Fraction(1, 3)
+
+
+def test_packed_words_are_little_endian_on_any_host():
+    # bit s of a packed row is numeric bit s % 64 of word s // 64, for the
+    # packed seeds and for the expander's tables, whatever byte order the
+    # words are stored in
+    layout = kernel._third_rows(9, bose_skolem(3).triple_array)
+    rows = np.array(list(combinations(range(9), 3)))
+    table = kernel._subsets(9, 3, 0, len(rows), None, 0, layout)
+    for words in (kernel._pack(9, rows), table):
+        bit = np.arange(words.shape[1] * 64)
+        numeric = words[:, bit // 64] >> (bit % 64).astype(np.uint64) & np.uint64(1)
+        for order in (">u8", "<u8"):
+            got = kernel._unpack(words.astype(order), len(bit))
+            np.testing.assert_array_equal(got, numeric)
+        # both hold each 3-set at its lex rank in their vertex rows
+        members = np.zeros((9, len(bit)), dtype=np.uint64)
+        members[rows.T, np.arange(len(rows))] = 1
+        np.testing.assert_array_equal(numeric[:9], members)
 
 
 @st.composite
@@ -704,25 +789,28 @@ def test_expander_never_builds_a_table_beyond_pair_bytes():
 
 
 @pytest.mark.parametrize(
-    "build, worst",
+    "build, worst, block",
     [
-        (lambda: spreading_6p3(101), 307),
-        (lambda: crowning(spreading_6p3(11)), 79),
-        (lambda: star_expansion(30), 59),
+        (lambda: spreading_6p3(101), 307, 384),
+        (lambda: crowning(spreading_6p3(11)), 79, 6976),
+        (lambda: star_expansion(30), 59, 5952),
     ],
     ids=["spreading_6p3(101)", "crowning(spreading_6p3(11))", "star_expansion(30)"],
 )
-def test_expander_memory_with_many_triples(build, worst):
+def test_expander_memory_with_many_triples(build, worst, block):
     # spreading_6p3(101), 51,612 triples on 609 vertices: sweeping the
     # 154,836 covered pairs for each block held pair-indexed temporaries past
     # 8 MiB.  The sparse systems, with over n/3 vertices in triples, hold
     # about three byte rows per such vertex in a block: blocks sized for n
-    # rows alone would peak at 14.1 and 16.5 MiB.
+    # rows alone would peak at 14.1 and 16.5 MiB.  The dense system's
+    # blocks are held to the verifiers' size by the 3m term.
     s = build()
     rep, peak = traced_peak(lambda: expander_deficiency(s, max_size=2))
     assert rep.per_size_min_neighbourhood == {1: 0, 2: 0}
     assert (rep.min_deficiency, rep.worst_set) == (1, frozenset({0, worst}))
     assert peak < kernel._PAIR_BYTES
+    blocks = kernel._subset_blocks(s, 2)
+    assert next(stop - start for k, start, stop, *_ in blocks if k == 2) == block
 
 
 def test_closure_memory_is_bounded_by_the_pairs_read():
