@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -28,6 +29,13 @@ Triple = tuple[int, int, int]
 Pair = tuple[int, int]
 # Pair codes x*n + y must fit in intp, which caps the vertex count.
 _MAX_ORDER = math.isqrt(np.iinfo(np.intp).max)
+# Lists of at least _BULK triples are read into one intp array and take the
+# array route; shorter ones go one triple at a time.  numpy's fixed cost
+# makes the array route the slower one below 32-48 triples in any order (16
+# canonical ones): 8 triples 22 -> 44 us, 128 triples 137 -> 78 us (best of
+# 7, one pinned CPU of a 2-vCPU Xeon VM).  The search's 2-10-triple witness
+# builds stay below the cut; relabelled 50,000-triple systems go above it.
+_BULK = 64
 
 
 def _normalize_triple(raw: Iterable[int]) -> Triple:
@@ -38,6 +46,20 @@ def _normalize_triple(raw: Iterable[int]) -> Triple:
     if x == y or y == z:
         raise DegenerateTriple(f"repeated vertex in triple {entries!r}")
     return (x, y, z)
+
+
+def _intp_rows(triples: list | tuple) -> np.ndarray | list | tuple:
+    """triples as an (m, 3) intp array, each entry read with operator.index
+    as _normalize_triple reads it, or triples itself when some triple is not
+    three entries that read as integers within intp.  np.array would read a
+    numpy bool, which operator.index refuses, as 0 or 1."""
+    try:
+        if set(map(len, triples)) == {3}:
+            entries = map(operator.index, chain.from_iterable(triples))
+            return np.fromiter(entries, np.intp, 3 * len(triples)).reshape(-1, 3)
+    except (TypeError, OverflowError):  # no length, no integer, past intp
+        pass
+    return triples
 
 
 def _canonical(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,16 +130,23 @@ class TripleSystem:
             bound = "non-negative" if n < 0 else f"at most {_MAX_ORDER}"
             raise VertexOutOfRange(f"vertex count must be {bound}, got {n}")
         self.n = n
-        # An (m, 3) int or uint array that casts safely to intp is sorted in
-        # numpy, in its own dtype (faster than intp), where not canonical;
-        # lists and other arrays (bool, uint64, float, object) go per triple.
-        array = isinstance(triples, np.ndarray) and triples.shape[1:] == (3,)
-        if array and triples.dtype.kind in "iu" and np.can_cast(triples.dtype, np.intp):
-            t, (increasing, above) = triples, _canonical(triples)
+        if not isinstance(triples, (list, tuple, np.ndarray)):
+            triples = list(triples)  # read once: a generator is not read twice
+        rows = triples
+        if not isinstance(triples, np.ndarray) and len(triples) >= _BULK:
+            rows = _intp_rows(triples)
+        # An (m, 3) int or uint array that casts safely to intp, given or read
+        # from a long list, is sorted in numpy, in its own dtype (faster than
+        # intp), where not canonical.  Short lists, lists with an entry that
+        # is no intp integer or a triple not of three entries, and other
+        # arrays (bool, uint64, float, object) go per triple, as given.
+        array = isinstance(rows, np.ndarray) and rows.shape[1:] == (3,)
+        if array and rows.dtype.kind in "iu" and np.can_cast(rows.dtype, np.intp):
+            t, (increasing, above) = rows, _canonical(rows)
             if not (rows_sorted := increasing.all()):
                 t = np.sort(t, axis=1)
                 if (same := (t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2])).any():
-                    entries = tuple(triples[same.argmax()].tolist())  # as given
+                    entries = tuple(rows[same.argmax()].tolist())  # as given
                     raise DegenerateTriple(f"repeated vertex in triple {entries!r}")
             if not (rows_sorted and above.all()):
                 t = t[np.lexsort(t.T[::-1])]
@@ -277,12 +306,18 @@ def build_system(n: int, triples: Iterable[Iterable[int]] = ()) -> TripleSystem:
     error names the lexicographically first defect.  An (m, 3) int or uint
     ndarray that casts safely to intp (not uint64) is sorted in numpy, with
     no Python work per triple and no sort at all where its rows are already
-    canonical, each strictly increasing and above the row before.  Lists
-    and other arrays are normalised one triple at a time, cheaper for a
-    few triples.  Raises DegenerateTriple for the first triple, in input
-    order, without three distinct entries, VertexOutOfRange (``.triple`` is
-    the offending triple; None when n itself is out of range) and
-    DuplicatePairCoverage (``.pair``, and ``.triples``: the earlier and the
-    later triple covering it).
+    canonical, each strictly increasing and above the row before.  A list
+    or tuple of at least 64 triples (core._BULK), each of three entries
+    that read with operator.index as integers within intp, is read into
+    such an array first; other iterables become a list first.  Shorter
+    lists, lists with any other entry (a float, a numpy bool, a vertex past
+    int64) or a triple not of three entries, and other arrays are
+    normalised one triple at a time, as given, cheaper for a few triples;
+    either way the result and any error are the same.  Raises
+    DegenerateTriple for the first triple, in input order, without three
+    distinct entries, VertexOutOfRange (``.triple`` is the offending triple;
+    None when n itself is out of range) and DuplicatePairCoverage
+    (``.pair``, and ``.triples``: the earlier and the later triple covering
+    it).
     """
     return TripleSystem(n, triples)

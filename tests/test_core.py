@@ -211,6 +211,13 @@ def _inject(rng, kind, n, triples):
     return tuple(rng.sample(range(-2, n + 2), 3))
 
 
+# Lists of at least core._BULK triples go through numpy, shorter ones per
+# triple; these tests run with the real cut, where their short lists go per
+# triple, and with a cut at 0, where every list goes through numpy.
+BULK_CUTS = [core._BULK, 0]
+
+
+@pytest.mark.parametrize("bulk", BULK_CUTS)
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
@@ -225,7 +232,7 @@ def _inject(rng, kind, n, triples):
         max_size=4,
     ),
 )
-def test_build_system_reports_the_naive_first_defect(seed, n, kinds):
+def test_build_system_reports_the_naive_first_defect(bulk, seed, n, kinds):
     rng = random.Random(seed)
     triples = list(random_linear_system(rng, n).triples)
     for kind in kinds:
@@ -233,12 +240,13 @@ def test_build_system_reports_the_naive_first_defect(seed, n, kinds):
     rng.shuffle(triples)
     triples = [rng.sample(t, 3) for t in triples]
     expected = first_defect_naive(n, triples)
-    if expected is None:
-        assert build_system(n, triples).triples == tuple(
-            sorted({tuple(sorted(t)) for t in triples})
-        )
-        return
-    assert_first_defect(n, triples, expected)
+    with patch.object(core, "_BULK", bulk):
+        if expected is None:
+            assert build_system(n, triples).triples == tuple(
+                sorted({tuple(sorted(t)) for t in triples})
+            )
+        else:
+            assert_first_defect(n, triples, expected)
 
 
 @settings(max_examples=300, deadline=None)
@@ -423,6 +431,75 @@ def test_build_system_array_forms():
     assert raised[0] is raised[1]
 
 
+def outcome(n, triples):
+    """The triples build_system(n, triples) keeps, or the type, message and
+    attributes of what it raises."""
+    try:
+        return build_system(n, triples).triples
+    except Exception as exc:
+        attrs = tuple(getattr(exc, a, None) for a in ("triple", "pair", "triples"))
+        return (type(exc), str(exc), *attrs)
+
+
+LONG = [list(t) for t in spreading_6p3(11).triples]  # 672 triples on 69 vertices
+
+
+def _outside(v):
+    return f"vertex {v} outside [0, 69) in triple (0, 1, {v})"
+
+
+@pytest.mark.parametrize(
+    "odd, error, message",
+    [
+        ([0, 1, 2.0], TypeError, "'float' object cannot be interpreted as an integer"),
+        ([5, 6], DegenerateTriple, "expected three vertices, got (5, 6)"),
+        ([0, 1, 2**63], VertexOutOfRange, _outside(2**63)),
+        ([2**70, 0, 1], VertexOutOfRange, _outside(2**70)),
+        ([np.uint64(2**63 + 5), 0, 1], VertexOutOfRange, _outside(2**63 + 5)),
+        ([True, False, True], DegenerateTriple, "repeated vertex in triple (1, 0, 1)"),
+        (np.array([False, True, True]), TypeError, "'numpy.bool' object cannot be"),
+        ("012", TypeError, "'str' object cannot be interpreted as an integer"),
+        (7, TypeError, "'int' object is not iterable"),
+        ({60, 61, 62}, DuplicatePairCoverage, "pair (60, 61) is covered by both"),
+        ([np.int64(60), np.uint64(61), np.int8(62)], DuplicatePairCoverage, "pair (60"),
+    ],
+)
+def test_long_lists_build_or_raise_as_they_do_per_triple(odd, error, message):
+    """A long list goes through numpy only when every entry reads with
+    operator.index, as per triple, and fits intp; otherwise the list goes
+    per triple, as given.  Either way it raises as it does below the cut,
+    and so does the same list as a generator."""
+    triples = LONG[:300] + [odd] + LONG[300:]
+    assert len(triples) >= core._BULK
+    with patch.object(core, "_BULK", len(triples) + 1):
+        short = outcome(69, triples)
+    assert short[0] is error and short[1].startswith(message)
+    if error is VertexOutOfRange:
+        assert all(type(v) is int for v in short[2])
+    assert outcome(69, triples) == short
+    assert outcome(69, (t for t in triples)) == short
+
+
+def test_long_lists_of_numpy_integers_build_as_python_ints_do():
+    scalars = [[np.int64(a), np.int32(b), np.uint16(c)] for a, b, c in LONG]
+    rows = list(np.array(LONG, dtype=np.int8))
+    with patch.object(core, "_BULK", len(LONG) + 1):
+        short = outcome(69, LONG)
+    assert short == spreading_6p3(11).triples
+    assert outcome(69, scalars) == outcome(69, rows) == short
+    assert outcome(69, iter(LONG)) == outcome(69, tuple(LONG)) == short
+
+
+def test_lists_of_bulk_triples_skip_the_per_triple_normaliser():
+    triples = LONG[: core._BULK]
+    wrapped = core._normalize_triple
+    for given_, calls in ((triples, 0), (triples[:-1], core._BULK - 1)):
+        with patch.object(core, "_normalize_triple", wraps=wrapped) as per_triple:
+            s = build_system(69, given_)
+        assert per_triple.call_count == calls
+        assert_same_index(s, build_system(69, np.array(given_)))
+
+
 lookup_systems = st.one_of(
     random_systems,
     st.builds(build_system, st.integers(0, 2)),
@@ -499,14 +576,17 @@ def test_first_uncovered_pair_is_the_first_uncovered_edge(s):
     assert s._first_uncovered() == (edges[0] if edges else None)
 
 
+@pytest.mark.parametrize("bulk", BULK_CUTS)
 @settings(max_examples=200, deadline=None)
 @given(random_systems, st.randoms(use_true_random=False))
-def test_list_and_array_built_systems_agree(s, rng):
-    # the list goes one triple at a time, in any order; the canonical array
-    # needs no sort.  Both build their triples tuple only when asked.
+def test_list_and_array_built_systems_agree(bulk, s, rng):
+    # the list, in any order, goes one triple at a time or, at a cut of 0,
+    # through numpy; the canonical array needs no sort.  Both build their
+    # triples tuple only when asked.
     listed = [rng.sample(t, 3) for t in s.triples]
     rng.shuffle(listed)
-    by_list = build_system(s.n, listed)
+    with patch.object(core, "_BULK", bulk):
+        by_list = build_system(s.n, listed)
     by_array = build_system(s.n, np.array(s.triples, dtype=np.int64).reshape(-1, 3))
     assert by_list._triples is None and by_array._triples is None
     assert by_list == by_array and hash(by_list) == hash(by_array)
