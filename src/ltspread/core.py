@@ -32,9 +32,11 @@ _MAX_ORDER = math.isqrt(np.iinfo(np.intp).max)
 # Lists of at least _BULK triples are read into one intp array and take the
 # array route; shorter ones go one triple at a time.  numpy's fixed cost
 # makes the array route the slower one below 32-48 triples in any order (16
-# canonical ones): 8 triples 22 -> 44 us, 128 triples 137 -> 78 us (best of
-# 7, one pinned CPU of a 2-vCPU Xeon VM).  The search's 2-10-triple witness
-# builds stay below the cut; relabelled 50,000-triple systems go above it.
+# canonical ones): per triple -> array, 8 triples 25 -> 51 us, 48 triples
+# 63-67 -> 60-62 us, 128 triples 148-153 -> 87-100 us (best of 7, one pinned
+# CPU of a 2-vCPU Xeon VM).  The search workload's 2-10-triple witness
+# builds stay below the cut; load_query's relabelled lists of 50,000 and
+# more triples go above it.
 _BULK = 64
 
 

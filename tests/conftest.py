@@ -5,8 +5,8 @@ import signal
 
 import pytest
 
-# The slowest test takes about 2.5 s on a 2-vCPU VM; a slow CI runner gets a
-# wide margin.
+# The slowest test takes about 1.5 s on a 2-vCPU VM (pytest --durations); a
+# slow CI runner gets a wide margin.
 TIME_LIMIT_S = 30
 
 

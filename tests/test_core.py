@@ -212,12 +212,11 @@ def _inject(rng, kind, n, triples):
 
 
 # Lists of at least core._BULK triples go through numpy, shorter ones per
-# triple; these tests run with the real cut, where their short lists go per
-# triple, and with a cut at 0, where every list goes through numpy.
-BULK_CUTS = [core._BULK, 0]
+# triple; these tests build each example at the real cut, where their short
+# lists go per triple, and at a cut of 0, where every list goes through numpy.
+BULK_CUTS = (core._BULK, 0)
 
 
-@pytest.mark.parametrize("bulk", BULK_CUTS)
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
@@ -232,7 +231,7 @@ BULK_CUTS = [core._BULK, 0]
         max_size=4,
     ),
 )
-def test_build_system_reports_the_naive_first_defect(bulk, seed, n, kinds):
+def test_build_system_reports_the_naive_first_defect(seed, n, kinds):
     rng = random.Random(seed)
     triples = list(random_linear_system(rng, n).triples)
     for kind in kinds:
@@ -240,13 +239,14 @@ def test_build_system_reports_the_naive_first_defect(bulk, seed, n, kinds):
     rng.shuffle(triples)
     triples = [rng.sample(t, 3) for t in triples]
     expected = first_defect_naive(n, triples)
-    with patch.object(core, "_BULK", bulk):
-        if expected is None:
-            assert build_system(n, triples).triples == tuple(
-                sorted({tuple(sorted(t)) for t in triples})
-            )
-        else:
-            assert_first_defect(n, triples, expected)
+    for bulk in BULK_CUTS:
+        with patch.object(core, "_BULK", bulk):
+            if expected is None:
+                assert build_system(n, triples).triples == tuple(
+                    sorted({tuple(sorted(t)) for t in triples})
+                )
+            else:
+                assert_first_defect(n, triples, expected)
 
 
 @settings(max_examples=300, deadline=None)
@@ -576,23 +576,25 @@ def test_first_uncovered_pair_is_the_first_uncovered_edge(s):
     assert s._first_uncovered() == (edges[0] if edges else None)
 
 
-@pytest.mark.parametrize("bulk", BULK_CUTS)
 @settings(max_examples=200, deadline=None)
 @given(random_systems, st.randoms(use_true_random=False))
-def test_list_and_array_built_systems_agree(bulk, s, rng):
+def test_list_and_array_built_systems_agree(s, rng):
     # the list, in any order, goes one triple at a time or, at a cut of 0,
     # through numpy; the canonical array needs no sort.  Both build their
     # triples tuple only when asked.
     listed = [rng.sample(t, 3) for t in s.triples]
     rng.shuffle(listed)
-    with patch.object(core, "_BULK", bulk):
-        by_list = build_system(s.n, listed)
-    by_array = build_system(s.n, np.array(s.triples, dtype=np.int64).reshape(-1, 3))
-    assert by_list._triples is None and by_array._triples is None
-    assert by_list == by_array and hash(by_list) == hash(by_array)
-    assert by_array.triples == by_list.triples == s.triples
-    assert by_list._triples is by_list.triples
-    assert all(type(v) is int for t in by_list.triples + by_array.triples for v in t)
+    for bulk in BULK_CUTS:
+        with patch.object(core, "_BULK", bulk):
+            by_list = build_system(s.n, listed)
+        rows = np.array(s.triples, dtype=np.int64).reshape(-1, 3)
+        by_array = build_system(s.n, rows)
+        assert by_list._triples is None and by_array._triples is None
+        assert by_list == by_array and hash(by_list) == hash(by_array)
+        assert by_array.triples == by_list.triples == s.triples
+        assert by_list._triples is by_list.triples
+        both = by_list.triples + by_array.triples
+        assert all(type(v) is int for t in both for v in t)
 
 
 def test_index_is_compact():
