@@ -18,9 +18,9 @@ changes, on the system's sweep_pairs.  A block holds _BLOCK seeds, or
 fewer when a pair-indexed sweep temporary (3m rows) or a vertex-indexed
 byte matrix (n rows, a byte per seed) would outgrow _PAIR_BYTES, which
 bounds memory up to about 130,000 vertices and 350,000 triples (the
-expander's blocks, up to about 43,700 vertices in triples).  Seed ranks
-are int64, which caps spreading at n = 3,810,779 and strong connectivity
-at n = 121,977.  The verifiers that scan a single seed size unrank their
+expander's blocks, up to about 43,700 vertices).  Seed ranks are int64,
+which caps spreading at n = 3,810,779 and strong connectivity at
+n = 121,977.  The verifiers that scan a single seed size unrank their
 seeds (_combinations; _rank inverts it) and scatter them into M (_pack);
 is_spreading first drops each 3-set that a swap (see there) turns into a
 lexicographically smaller one with the same closure.  The extremal
@@ -28,9 +28,9 @@ search checks a chunk of K candidate systems in one kernel call, as one
 system on K disjoint copies of range(n) (_weakly_spreading_each).
 expander_deficiency runs no sweep.  It scans every size from 1 up and
 builds each size's packed, lex-ordered sets from the size below by
-Pascal's rule (_subsets), with one row per vertex in some triple for the
-third points of their covered pairs: those of {a} plus T are those of T
-and, a row permutation of T, the third points of the pairs {a, t}.  Less
+Pascal's rule (_subsets), with one row per vertex for the third points
+of their covered pairs: those of {a} plus T are those of T and, a row
+permutation of T, the third points of the pairs {a, t}.  Less
 the set itself, that is its neighbourhood, so a block is only counted;
 the 3-sets that held one of their own vertices are the triples (see
 _subset_blocks for the tables and blocks).  neighbourhood() looks the
@@ -387,23 +387,17 @@ def _stripe(row: np.ndarray, d: int, length: int) -> None:
 
 
 def _third_rows(n: int, triples: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The layout _subsets reads: (thirds, cuts, rows, above).  thirds are
-    the vertices in some triple, and third-point row i, stacked under the n
-    subset rows, belongs to thirds[i].  For each covered pair {a, t} with
-    t > a and third point v, rows holds v's stacked row and above holds
-    t - a - 1, grouped by a: those of a are cuts[a]:cuts[a + 1].  Vertices
-    are held in the smallest unsigned type that fits n."""
+    """The layout _subsets reads: (cuts, rows, above).  Third-point row
+    n + v, stacked under the n subset rows, belongs to vertex v.  For each
+    covered pair {a, t} with t > a and third point v, rows holds n + v and
+    above holds t - a - 1, grouped by a: those of a are cuts[a]:cuts[a + 1].
+    Vertices are held in the smallest unsigned type that fits n."""
     a, t, v = _slots(triples.astype(np.min_scalar_type(n)))
     order = np.argsort(a, kind="stable")
     cuts = np.searchsorted(a[order], np.arange(n + 1, dtype=a.dtype)).tolist()
-    used = np.zeros(n, dtype=bool)
-    used[v] = True  # every vertex of a triple is the third point of a pair
-    thirds = np.flatnonzero(used)
-    row = np.zeros(n, dtype=np.min_scalar_type(2 * n))
-    row[thirds] = np.arange(n, n + len(thirds))
-    rows = row[v[order]]
+    rows = v[order].astype(np.min_scalar_type(2 * n)) + n
     above = (t - a)[order] - 1
-    return thirds, cuts, rows, above
+    return cuts, rows, above
 
 
 def _subsets(
@@ -416,11 +410,11 @@ def _subsets(
     layout: tuple[np.ndarray, ...],
 ) -> np.ndarray:
     """The k-subsets of range(n) of lexicographic rank start..stop-1 and
-    their neighbourhoods, as one uint64 M of n + len(thirds) rows (layout is
+    their neighbourhoods, as one uint64 M of 2n rows (layout is
     _third_rows's): bit i of row v < n says v is in the subset of rank
-    start + i, and bit i of row n + j that thirds[j] is in its
-    neighbourhood or in the subset itself, which the caller clears.  table
-    holds all the level-subsets so (None at level 0), and level < k.
+    start + i, and bit i of row n + v that v is in its neighbourhood or in
+    the subset itself, which the caller clears.  table holds all the
+    level-subsets so (None at level 0), and level < k.
 
     Pascal's rule: the k-subsets with least vertex a are S = {a} plus T, for
     T the last C(n-1-a, k-1) (k-1)-subsets, those above a, out of table
@@ -432,8 +426,8 @@ def _subsets(
     ones in row a, and an OR of each copied subset row t into the
     third-point row of sigma_a(t), for each t above a with one.
     """
-    thirds, cuts, rows, above = layout
-    out = np.zeros((n + len(thirds), -(-(stop - start) // 64)), dtype=np.uint64)
+    cuts, rows, above = layout
+    out = np.zeros((2 * n, -(-(stop - start) // 64)), dtype=np.uint64)
     if k == 1:  # the 1-subset of rank start + i is {start + i}
         i = np.arange(stop - start)
         out[start + i, i >> 6] = np.uint64(1) << (i & 63).astype(np.uint64)
@@ -472,20 +466,18 @@ def _subset_blocks(
     is a triple.  Each size but the last is built as one table from the
     table of the size below when it fits within _PAIR_BYTES, and the
     blocks are slices of it; the blocks of other sizes are built one by one
-    from the largest table built.  A block unpacks at most n subset rows
-    and holds each of its t third-point rows about three times (packed, as
-    inside, and unpacked to count), so blocks fit max(n, 3t) byte rows: 64
-    sets past about 43,700 vertices in triples."""
+    from the largest table built.  A block holds each of its n third-point
+    rows about three times (packed, as inside, and unpacked to count), so
+    blocks fit 3n byte rows: 64 sets past about 43,700 vertices."""
     n = system.n
     layout = _third_rows(n, system.triple_array)
-    thirds = layout[0]
     # The 3m term bounds no temporary here.  Dropping it sped spreading_6p3(101)
     # and bose_skolem(201) by 20-30% at max_size=2 but slowed cayley_latin(101).
-    block = _block_size(system, max(n, 3 * len(thirds)))
+    block = _block_size(system, 3 * n)
     table, level = None, 0  # table holds all level-sets, the largest size built
     for k in range(1, max_size + 1):
         count = math.comb(n, k)
-        fits = (n + len(thirds)) * -(-count // 64) * 8 <= _PAIR_BYTES
+        fits = 2 * n * -(-count // 64) * 8 <= _PAIR_BYTES
         if k < max_size and level == k - 1 and fits:
             table, level = _subsets(n, k, 0, count, table, level, layout), k
         for start in range(0, count, block):
@@ -494,7 +486,7 @@ def _subset_blocks(
                 m = table[:, start // 64 : -(-stop // 64)]
             else:
                 m = _subsets(n, k, start, stop, table, level, layout)
-            inside = m[n:] & m[thirds]
+            inside = m[n:] & m[:n]
             m[n:] ^= inside
             yield k, start, stop, m, inside
 

@@ -1158,3 +1158,72 @@ def test_exit_codes_on_fuzzed_files(tmp_path_factory, data, words, max_size):
             report = json.loads(out)
             assert isinstance(report, dict) and next(iter(report)) == "command"
         event(f"exit {code}")
+
+
+# the library call behind each family, taking a parameter and a keep list
+CONSTRUCTIONS = {
+    "bose-skolem": lambda p, keep: bose_skolem(p),
+    "spreading-6p3": lambda p, keep: spreading_6p3(p),
+    "crowning": lambda p, keep: crowning(spreading_6p3(p), keep),
+    "cayley-latin": lambda p, keep: cayley_latin(p),
+    "star-expansion": lambda p, keep: star_expansion(p),
+}
+
+
+def constructed(family, word, keep):
+    """The library's system for construct --family --p word [--keep keep],
+    or None where lts refuses it."""
+    try:
+        p = int(word)  # argparse's reading of --p
+    except ValueError:
+        return None
+    if keep is not None:
+        pieces = keep.split(",") if keep.strip() else []
+        if family != "crowning" or not all(piece.strip() for piece in pieces):
+            return None
+        keep = [int(piece) for piece in pieces]
+    try:
+        return CONSTRUCTIONS[family](p, keep)
+    except LtsError:
+        return None
+
+
+@st.composite
+def construct_arguments(draw):
+    """(family, P, K) for construct --family F --p P [--keep K]: P an
+    integer word of -3..61, an odd prime or a word argparse refuses; K, None
+    or (mostly with crowning) comma-separated indices, valid (p = 3 leaves
+    18 uncovered edges), negative, out of range or blank."""
+    family = draw(st.sampled_from(sorted(CONSTRUCTIONS)))
+    word = draw(
+        st.integers(-3, 61).map(str)
+        | st.sampled_from(["3", "5", "7", "11", "61"])
+        | st.sampled_from(["x", "1e3", "0x5", ""])
+    )
+    keep = None
+    if draw(st.integers(0, 3)) < (3 if family == "crowning" else 1):
+        entries = st.integers(0, 17) | st.integers(-3, 40)
+        entries |= st.sampled_from([10**6, "", " "])
+        keep = ",".join(map(str, draw(st.lists(entries, max_size=4))))
+    return family, word, keep
+
+
+@settings(max_examples=200, deadline=None)
+@given(construct_arguments())
+def test_exit_codes_on_fuzzed_construct_arguments(arguments):
+    family, word, keep = arguments
+    argv = ["construct", "--family", family, f"--p={word}"]
+    argv += [] if keep is None else [f"--keep={keep}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    out, err = out.getvalue(), err.getvalue().splitlines()
+    assert code in (0, 2), (argv, err)
+    assert err[-1].startswith("run_time_s "), (argv, err)
+    want = constructed(family, word, keep)
+    assert (code == 0) == (want is not None), (argv, err)
+    if code == 2:
+        assert out == "" and sum("error: " in line for line in err) == 1, (argv, err)
+    else:
+        assert parse_system(out) == want, argv
+    event(f"exit {code}")

@@ -336,13 +336,10 @@ PAIR_BYTES = [kernel._PAIR_BYTES, 256]
 
 def _packed_thirds(s, rows, vertices) -> np.ndarray:
     """vertices(s, row) for each seed row, packed as the expander's blocks
-    hold their third-point rows: one row per vertex in some triple, one bit
-    per seed."""
-    thirds = sorted(s.span())
-    bits = np.zeros((len(thirds), -(-len(rows) // 64) * 64), dtype=bool)
+    hold their third-point rows: one row per vertex, one bit per seed."""
+    bits = np.zeros((s.n, -(-len(rows) // 64) * 64), dtype=bool)
     for i, row in enumerate(rows):
-        out = vertices(s, row)
-        bits[[j for j, v in enumerate(thirds) if v in out], i] = True
+        bits[sorted(vertices(s, row)), i] = True
     return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
 
@@ -356,10 +353,19 @@ def _on_triples(s, row, least=False) -> set[int]:
 @pytest.mark.parametrize("pair_bytes", PAIR_BYTES)
 def test_expander_seed_blocks_are_the_lex_ordered_subsets(pair_bytes):
     # each block the expander counts holds the lex-ordered k-subsets and,
-    # under them, their neighbourhoods; bare systems have no neighbourhood rows
+    # under them, their neighbourhoods, one row per vertex; vertices in no
+    # triple, bare systems' included, have empty rows
     rng = random.Random(335)
     systems = [build_system(n) for n in range(1, 13)] + [bose_skolem(3)]
     systems += [random_linear_system(rng, n, 1.5) for n in range(3, 13)]
+    # vertices in no triple at the low end, the middle and the high end
+    padded = [build_system(9, [t]) for t in [(0, 1, 2), (3, 4, 5), (6, 7, 8)]]
+    padded += [build_system(11, bose_skolem(3).triple_array + 2)]
+    for s in padded:  # a free vertex and a triple: four vertices, no neighbour
+        with patch.object(kernel, "_PAIR_BYTES", pair_bytes):
+            rep = expander_deficiency(s, max_size=4)
+        assert rep.per_size_min_neighbourhood[4] == 0 and rep.min_deficiency == -1
+    systems += padded
     builder = kernel._subset_blocks
     for s in systems:
         n, seen = s.n, []
@@ -373,7 +379,7 @@ def test_expander_seed_blocks_are_the_lex_ordered_subsets(pair_bytes):
             kernel, "_subset_blocks", spy
         ):
             expander_deficiency(s, max_size=n, budget=2**n)
-            block = kernel._block_size(s, max(n, 3 * len(s.span())))
+            block = kernel._block_size(s, 3 * n)
         blocks = iter(seen)
         for k in range(1, n + 1):
             subsets = np.array(list(combinations(range(n), k)))
